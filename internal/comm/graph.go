@@ -4,14 +4,25 @@
 // communication between every pair of processes, and AG, the number of
 // messages exchanged (Table 4). The evaluation scales to 8192 processes
 // where the patterns are sparse (NPB kernels talk to a handful of
-// neighbors), so this package stores both matrices together as a directed
-// weighted graph with adjacency lists, and converts to dense matrices on
-// demand for small problems and for rendering Figure 3.
+// neighbors), so this package stores both matrices together as one
+// directed weighted graph, and converts to dense matrices on demand for
+// small problems and for rendering Figure 3.
+//
+// A Graph has two phases. While it is built, AddTraffic appends each
+// contribution to an insertion-ordered list. The first read freezes the
+// graph, exactly once and safely under concurrent readers, into CSR
+// (compressed sparse row) form: an outgoing and an incoming Adjacency,
+// each row sorted by peer, with repeated (src, dst) contributions summed
+// in insertion order. From then on the graph is immutable — every read is
+// a lock-free slice access, AddTraffic panics, and the graph may be shared
+// freely across goroutines. The multilevel solver's level-0 graph is a
+// view of the same frozen arrays, not a copy.
 package comm
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"geoprocmap/internal/mat"
 )
@@ -23,37 +34,62 @@ type Edge struct {
 	Msgs   float64 // total number of messages (AG entry)
 }
 
+// Adjacency is a directed graph's edges in CSR form: the edges of row v
+// are Edges[Idx[v]:Idx[v+1]], so len(Idx) is the row count plus one.
+type Adjacency struct {
+	Idx   []int
+	Edges []Edge
+}
+
+// Row returns the edges of row v. The slice aliases the adjacency's
+// storage; callers must not modify it.
+//
+//geolint:allocfree
+func (a Adjacency) Row(v int) []Edge { return a.Edges[a.Idx[v]:a.Idx[v+1]] }
+
+// Transpose reverses every edge: row u of the result holds Edge{Peer: v}
+// for each edge v→u of a, over n rows. Sources are visited in ascending
+// row order and each row in order, so every result row is sorted by peer
+// and equal peers keep their order in a.
+func (a Adjacency) Transpose(n int) Adjacency {
+	t := Adjacency{Idx: make([]int, n+1), Edges: make([]Edge, len(a.Edges))}
+	for _, e := range a.Edges {
+		t.Idx[e.Peer+1]++
+	}
+	for u := 0; u < n; u++ {
+		t.Idx[u+1] += t.Idx[u]
+	}
+	cursor := append([]int(nil), t.Idx[:n]...)
+	for v := 0; v+1 < len(a.Idx); v++ {
+		for _, e := range a.Row(v) {
+			t.Edges[cursor[e.Peer]] = Edge{Peer: v, Volume: e.Volume, Msgs: e.Msgs}
+			cursor[e.Peer]++
+		}
+	}
+	return t
+}
+
+// contribution is one AddTraffic call awaiting the freeze.
+type contribution struct {
+	src int
+	e   Edge // e.Peer is the destination
+}
+
 // Graph holds the combined CG/AG communication pattern of an N-process
 // application. Traffic is directed; AddTraffic(i, j, …) and
 // AddTraffic(j, i, …) accumulate separately, matching the paper's
 // asymmetric matrices.
 type Graph struct {
-	n   int
-	out []map[int]*Edge // out[i][j] = traffic i→j
-	in  []map[int]*Edge // in[j][i] = traffic i→j (mirror for fast column access)
+	n       int
+	pending []contribution // build phase, in insertion order
 
 	totalVolume float64
 	totalMsgs   float64
 
-	// neighborCache holds, per process, the combined-direction neighbor
-	// list in ascending peer order. Iterating Go maps is randomized, and
-	// the mapping heuristics accumulate floating-point affinities over
-	// neighbors — a nondeterministic order would make placements differ
-	// run to run through last-ulp tie-breaks. The cache is rebuilt lazily
-	// after mutations.
-	//
-	// outCache and inCache are the analogous per-direction views behind
-	// Outgoing and Incoming. Before they existed every Cost evaluation
-	// and every refinement exchange delta rebuilt and sorted fresh edge
-	// slices from the adjacency maps — the dominant allocation source of
-	// the κ! order search, which evaluates Cost once per order.
-	neighborCache [][]Edge
-	cacheVersion  int
-	outCache      [][]Edge
-	outVersion    int
-	inCache       [][]Edge
-	inVersion     int
-	mutVersion    int
+	once   sync.Once
+	frozen bool
+	out    Adjacency // out.Row(i) = traffic i→j, by ascending j
+	in     Adjacency // in.Row(j) = traffic i→j with Peer i, by ascending i
 }
 
 // NewGraph returns an empty pattern over n processes.
@@ -62,16 +98,7 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("comm: negative process count %d", n)) //geolint:ignore libpanic negative count is a programmer error, like make() with negative len
 	}
-	g := &Graph{
-		n:   n,
-		out: make([]map[int]*Edge, n),
-		in:  make([]map[int]*Edge, n),
-	}
-	for i := 0; i < n; i++ {
-		g.out[i] = make(map[int]*Edge)
-		g.in[i] = make(map[int]*Edge)
-	}
-	return g
+	return &Graph{n: n}
 }
 
 // N returns the number of processes.
@@ -79,30 +106,23 @@ func (g *Graph) N() int { return g.n }
 
 // AddTraffic accumulates volume bytes over msgs messages sent from src to
 // dst. Self-traffic (src == dst) is ignored, as in the paper's model where
-// the diagonal carries no cost. Negative volume or msgs panic.
+// the diagonal carries no cost. Negative volume or msgs panic, and so does
+// any call after the graph's first read has frozen it.
 func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	g.checkProc(src)
 	g.checkProc(dst)
 	if volume < 0 || msgs < 0 {
 		panic(fmt.Sprintf("comm: negative traffic (%g bytes, %g msgs)", volume, msgs)) //geolint:ignore libpanic trace.Recorder validates sizes; negative traffic is a profiler bug
 	}
+	if g.frozen {
+		panic("comm: AddTraffic after the graph was read") //geolint:ignore libpanic mutating a frozen, possibly shared graph is a programmer error
+	}
 	if src == dst || (volume == 0 && msgs == 0) {
 		return
 	}
-	e := g.out[src][dst]
-	if e == nil {
-		e = &Edge{Peer: dst}
-		g.out[src][dst] = e
-		g.in[dst][src] = &Edge{Peer: src}
-	}
-	e.Volume += volume
-	e.Msgs += msgs
-	me := g.in[dst][src]
-	me.Volume += volume
-	me.Msgs += msgs
+	g.pending = append(g.pending, contribution{src: src, e: Edge{Peer: dst, Volume: volume, Msgs: msgs}})
 	g.totalVolume += volume
 	g.totalMsgs += msgs
-	g.mutVersion++
 }
 
 func (g *Graph) checkProc(i int) {
@@ -112,11 +132,69 @@ func (g *Graph) checkProc(i int) {
 	}
 }
 
+// CSR returns the outgoing and incoming adjacency. Both alias the
+// graph's storage; callers must not modify them.
+//
+//geolint:allocfree
+func (g *Graph) CSR() (out, in Adjacency) {
+	g.ready()
+	return g.out, g.in
+}
+
+// ready freezes the graph on the first call of any reader; sync.Once
+// makes that first read safe under concurrent readers.
+//
+//geolint:allocfree
+func (g *Graph) ready() { g.once.Do(g.freeze) }
+
+// freeze turns the pending contributions into the out and in CSR rows.
+// Two stable counting sorts (by destination, then by source) order the
+// contributions by (src, dst) while keeping insertion order among equal
+// pairs, so summing each run reproduces the build phase's running sums
+// bit for bit.
+//
+//geolint:allocsite cold path: runs once per graph, on its first read
+func (g *Graph) freeze() {
+	byDst := Adjacency{Idx: make([]int, g.n+1), Edges: make([]Edge, len(g.pending))}
+	for _, c := range g.pending {
+		byDst.Idx[c.e.Peer+1]++
+	}
+	for j := 0; j < g.n; j++ {
+		byDst.Idx[j+1] += byDst.Idx[j]
+	}
+	cursor := append([]int(nil), byDst.Idx[:g.n]...)
+	for _, c := range g.pending {
+		byDst.Edges[cursor[c.e.Peer]] = Edge{Peer: c.src, Volume: c.e.Volume, Msgs: c.e.Msgs}
+		cursor[c.e.Peer]++
+	}
+	g.pending = nil
+
+	out := byDst.Transpose(g.n)
+	k := 0
+	for i := 0; i < g.n; i++ {
+		row := out.Row(i)
+		out.Idx[i] = k
+		for a := 0; a < len(row); {
+			sum := Edge{Peer: row[a].Peer}
+			for ; a < len(row) && row[a].Peer == sum.Peer; a++ {
+				sum.Volume += row[a].Volume
+				sum.Msgs += row[a].Msgs
+			}
+			out.Edges[k] = sum
+			k++
+		}
+	}
+	out.Idx[g.n] = k
+	if k < len(out.Edges) {
+		out.Edges = append([]Edge(nil), out.Edges[:k]...) // drop the merged duplicates' storage
+	}
+	g.out, g.in = out, out.Transpose(g.n)
+	g.frozen = true
+}
+
 // Volume returns CG(i, j): the bytes sent from i to j.
 func (g *Graph) Volume(i, j int) float64 {
-	g.checkProc(i)
-	g.checkProc(j)
-	if e := g.out[i][j]; e != nil {
+	if e := g.edge(i, j); e != nil {
 		return e.Volume
 	}
 	return 0
@@ -124,72 +202,43 @@ func (g *Graph) Volume(i, j int) float64 {
 
 // Msgs returns AG(i, j): the number of messages sent from i to j.
 func (g *Graph) Msgs(i, j int) float64 {
-	g.checkProc(i)
-	g.checkProc(j)
-	if e := g.out[i][j]; e != nil {
+	if e := g.edge(i, j); e != nil {
 		return e.Msgs
 	}
 	return 0
 }
 
+// edge binary-searches i's outgoing row for j.
+func (g *Graph) edge(i, j int) *Edge {
+	g.checkProc(i)
+	g.checkProc(j)
+	row := g.Outgoing(i)
+	k := sort.Search(len(row), func(k int) bool { return row[k].Peer >= j })
+	if k < len(row) && row[k].Peer == j {
+		return &row[k]
+	}
+	return nil
+}
+
 // Outgoing returns the outgoing edges of process i sorted by peer. The
-// slice is owned by the graph's adjacency cache: callers must not modify
-// it, and it stays valid only until the next AddTraffic.
+// slice aliases the frozen graph; callers must not modify it.
 //
 //geolint:allocfree
 func (g *Graph) Outgoing(i int) []Edge {
 	g.checkProc(i)
-	if g.outCache == nil || g.outVersion != g.mutVersion || g.outCache[i] == nil {
-		g.buildOutgoing(i)
-	}
-	return g.outCache[i]
+	g.ready()
+	return g.out.Row(i)
 }
 
 // Incoming returns the incoming edges of process i sorted by peer. Each
-// edge's Peer field is the *sender*. The slice is owned by the graph's
-// adjacency cache: callers must not modify it, and it stays valid only
-// until the next AddTraffic.
+// edge's Peer field is the *sender*. The slice aliases the frozen graph;
+// callers must not modify it.
 //
 //geolint:allocfree
 func (g *Graph) Incoming(i int) []Edge {
 	g.checkProc(i)
-	if g.inCache == nil || g.inVersion != g.mutVersion || g.inCache[i] == nil {
-		g.buildIncoming(i)
-	}
-	return g.inCache[i]
-}
-
-// buildOutgoing (re)builds the outgoing-adjacency cache entry of process
-// i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildOutgoing(i int) {
-	if g.outCache == nil || g.outVersion != g.mutVersion {
-		g.outCache = make([][]Edge, g.n)
-		g.outVersion = g.mutVersion
-	}
-	g.outCache[i] = sortEdges(g.out[i]) // non-nil even when empty: marks the entry as built
-}
-
-// buildIncoming (re)builds the incoming-adjacency cache entry of process
-// i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildIncoming(i int) {
-	if g.inCache == nil || g.inVersion != g.mutVersion {
-		g.inCache = make([][]Edge, g.n)
-		g.inVersion = g.mutVersion
-	}
-	g.inCache[i] = sortEdges(g.in[i]) // non-nil even when empty: marks the entry as built
-}
-
-func sortEdges(m map[int]*Edge) []Edge {
-	out := make([]Edge, 0, len(m))
-	for _, e := range m {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Peer < out[b].Peer })
-	return out
+	g.ready()
+	return g.in.Row(i)
 }
 
 // Neighbors calls fn for every process j that exchanges traffic with i in
@@ -199,64 +248,28 @@ func sortEdges(m map[int]*Edge) []Edge {
 //geolint:allocfree
 func (g *Graph) Neighbors(i int, fn func(j int, volume, msgs float64)) {
 	g.checkProc(i)
-	for _, e := range g.neighbors(i) {
-		fn(e.Peer, e.Volume, e.Msgs)
-	}
-}
-
-// neighbors returns i's cached combined-direction adjacency, rebuilding
-// the cache if the graph changed since the last build.
-func (g *Graph) neighbors(i int) []Edge {
-	if g.neighborCache == nil || g.cacheVersion != g.mutVersion || g.neighborCache[i] == nil {
-		g.buildNeighbors(i)
-	}
-	return g.neighborCache[i]
-}
-
-// buildNeighbors (re)builds the combined-direction adjacency cache entry
-// of process i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildNeighbors(i int) {
-	if g.neighborCache == nil || g.cacheVersion != g.mutVersion {
-		g.neighborCache = make([][]Edge, g.n)
-		g.cacheVersion = g.mutVersion
-	}
-	combined := make(map[int]*Edge, len(g.out[i])+len(g.in[i]))
-	for j, e := range g.out[i] {
-		combined[j] = &Edge{Peer: j, Volume: e.Volume, Msgs: e.Msgs}
-	}
-	for j, e := range g.in[i] {
-		if c := combined[j]; c != nil {
-			c.Volume += e.Volume
-			c.Msgs += e.Msgs
-			continue
+	g.ready()
+	o, r := g.out.Row(i), g.in.Row(i)
+	a, b := 0, 0
+	for a < len(o) && b < len(r) {
+		switch {
+		case o[a].Peer < r[b].Peer:
+			fn(o[a].Peer, o[a].Volume, o[a].Msgs)
+			a++
+		case r[b].Peer < o[a].Peer:
+			fn(r[b].Peer, r[b].Volume, r[b].Msgs)
+			b++
+		default:
+			fn(o[a].Peer, o[a].Volume+r[b].Volume, o[a].Msgs+r[b].Msgs)
+			a++
+			b++
 		}
-		combined[j] = &Edge{Peer: j, Volume: e.Volume, Msgs: e.Msgs}
 	}
-	list := make([]Edge, 0, len(combined))
-	for _, e := range combined {
-		list = append(list, *e)
+	for ; a < len(o); a++ {
+		fn(o[a].Peer, o[a].Volume, o[a].Msgs)
 	}
-	sort.Slice(list, func(a, b int) bool { return list[a].Peer < list[b].Peer })
-	if len(list) == 0 {
-		list = []Edge{} // non-nil marks the entry as built
-	}
-	g.neighborCache[i] = list
-}
-
-// Prewarm builds every adjacency cache (combined-direction, outgoing,
-// incoming) for every process so that subsequent Neighbors, Quantity,
-// Outgoing, and Incoming calls are read-only. The lazy rebuilds are not
-// synchronized; callers that share a graph across goroutines (the
-// parallel κ! order search, the serving path's memoized workload graphs)
-// must prewarm it first and refrain from AddTraffic while readers are
-// live.
-func (g *Graph) Prewarm() {
-	for i := 0; i < g.n; i++ {
-		g.neighbors(i)
-		g.Outgoing(i)
-		g.Incoming(i)
+	for ; b < len(r); b++ {
+		fn(r[b].Peer, r[b].Volume, r[b].Msgs)
 	}
 }
 
@@ -266,11 +279,8 @@ func (g *Graph) Prewarm() {
 //
 //geolint:allocfree
 func (g *Graph) Quantity(i int) float64 {
-	g.checkProc(i)
 	var q float64
-	for _, e := range g.neighbors(i) { // deterministic accumulation order
-		q += e.Volume
-	}
+	g.Neighbors(i, func(_ int, vol, _ float64) { q += vol }) // deterministic accumulation order
 	return q
 }
 
@@ -282,38 +292,28 @@ func (g *Graph) TotalMsgs() float64 { return g.totalMsgs }
 
 // EdgeCount returns the number of directed (i, j) pairs with traffic.
 func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, m := range g.out {
-		n += len(m)
-	}
-	return n
+	g.ready()
+	return len(g.out.Edges)
 }
 
 // MaxDegree returns the largest number of distinct peers (union of in and
 // out) over all processes.
 func (g *Graph) MaxDegree() int {
-	max := 0
+	best := 0
 	for i := 0; i < g.n; i++ {
-		seen := make(map[int]struct{}, len(g.out[i])+len(g.in[i]))
-		for j := range g.out[i] {
-			seen[j] = struct{}{}
-		}
-		for j := range g.in[i] {
-			seen[j] = struct{}{}
-		}
-		if len(seen) > max {
-			max = len(seen)
-		}
+		d := 0
+		g.Neighbors(i, func(int, float64, float64) { d++ })
+		best = max(best, d)
 	}
-	return max
+	return best
 }
 
 // DenseCG materializes the N×N communication-volume matrix.
 func (g *Graph) DenseCG() *mat.Matrix {
 	m := mat.NewSquare(g.n)
-	for i, edges := range g.out {
-		for j, e := range edges {
-			m.Set(i, j, e.Volume)
+	for i := 0; i < g.n; i++ {
+		for _, e := range g.Outgoing(i) {
+			m.Set(i, e.Peer, e.Volume)
 		}
 	}
 	return m
@@ -322,35 +322,10 @@ func (g *Graph) DenseCG() *mat.Matrix {
 // DenseAG materializes the N×N message-count matrix.
 func (g *Graph) DenseAG() *mat.Matrix {
 	m := mat.NewSquare(g.n)
-	for i, edges := range g.out {
-		for j, e := range edges {
-			m.Set(i, j, e.Msgs)
+	for i := 0; i < g.n; i++ {
+		for _, e := range g.Outgoing(i) {
+			m.Set(i, e.Peer, e.Msgs)
 		}
 	}
 	return m
-}
-
-// FromDense builds a Graph from dense CG and AG matrices, which must be
-// square and of equal size.
-func FromDense(cg, ag *mat.Matrix) (*Graph, error) {
-	if !cg.IsSquare() || !ag.IsSquare() || cg.Rows() != ag.Rows() {
-		return nil, fmt.Errorf("comm: CG (%d×%d) and AG (%d×%d) must be square and equal-sized",
-			cg.Rows(), cg.Cols(), ag.Rows(), ag.Cols())
-	}
-	g := NewGraph(cg.Rows())
-	for i := 0; i < cg.Rows(); i++ {
-		for j := 0; j < cg.Cols(); j++ {
-			if i == j {
-				continue
-			}
-			v, m := cg.At(i, j), ag.At(i, j)
-			if v < 0 || m < 0 {
-				return nil, fmt.Errorf("comm: negative traffic at (%d,%d)", i, j)
-			}
-			if v > 0 || m > 0 {
-				g.AddTraffic(i, j, v, m)
-			}
-		}
-	}
-	return g, nil
 }

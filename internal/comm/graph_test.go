@@ -2,10 +2,10 @@ package comm
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
-
-	"geoprocmap/internal/mat"
 )
 
 func TestAddTrafficAccumulates(t *testing.T) {
@@ -133,29 +133,15 @@ func TestDenseRoundTrip(t *testing.T) {
 	if cg.At(0, 1) != 100 || ag.At(2, 0) != 4 {
 		t.Error("dense matrices wrong")
 	}
-	back, err := FromDense(cg, ag)
-	if err != nil {
-		t.Fatal(err)
+	if cg.Sum() != g.TotalVolume() || ag.Sum() != g.TotalMsgs() {
+		t.Error("dense matrices lost traffic")
 	}
-	if back.TotalVolume() != g.TotalVolume() || back.TotalMsgs() != g.TotalMsgs() {
-		t.Error("FromDense lost traffic")
-	}
-	if back.Volume(1, 2) != 50 || back.Msgs(2, 0) != 4 {
-		t.Error("FromDense entries wrong")
-	}
-}
-
-func TestFromDenseErrors(t *testing.T) {
-	if _, err := FromDense(mat.New(2, 3), mat.NewSquare(2)); err == nil {
-		t.Error("non-square CG accepted")
-	}
-	if _, err := FromDense(mat.NewSquare(2), mat.NewSquare(3)); err == nil {
-		t.Error("size mismatch accepted")
-	}
-	neg := mat.NewSquare(2)
-	neg.Set(0, 1, -5)
-	if _, err := FromDense(neg, mat.NewSquare(2)); err == nil {
-		t.Error("negative entry accepted")
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if cg.At(i, j) != g.Volume(i, j) || ag.At(i, j) != g.Msgs(i, j) {
+				t.Errorf("dense entry (%d,%d) = %g/%g, graph %g/%g", i, j, cg.At(i, j), ag.At(i, j), g.Volume(i, j), g.Msgs(i, j))
+			}
+		}
 	}
 }
 
@@ -242,11 +228,119 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 			t.Fatalf("order = %v, want ascending %v", order, want)
 		}
 	}
-	// Mutation invalidates the cache.
-	g.AddTraffic(2, 0, 50, 1)
-	order = order[:0]
-	g.Neighbors(0, func(j int, _, _ float64) { order = append(order, j) })
-	if len(order) != 6 || order[1] != 2 {
-		t.Fatalf("after mutation order = %v, want peer 2 included in place", order)
+	// Incoming rows are sorted by sender as well.
+	in := g.Incoming(0)
+	if len(in) != 2 || in[0].Peer != 3 || in[1].Peer != 9 {
+		t.Fatalf("Incoming(0) = %v, want senders [3 9]", in)
+	}
+}
+
+// The freeze must sum repeated (src, dst) contributions in insertion
+// order, reproducing a running `+=` accumulation bit for bit, and lay
+// every row out in ascending peer order.
+func TestFreezeMatchesRunningSums(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(5))
+	g := NewGraph(n)
+	type pair struct{ i, j int }
+	vol, msgs := map[pair]float64{}, map[pair]float64{}
+	for k := 0; k < 2000; k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		v, m := rng.Float64()*1e6, float64(rng.Intn(4))
+		g.AddTraffic(i, j, v, m)
+		if i != j && (v != 0 || m != 0) {
+			vol[pair{i, j}] += v
+			msgs[pair{i, j}] += m
+		}
+	}
+	if g.EdgeCount() != len(vol) {
+		t.Fatalf("EdgeCount = %d, want %d", g.EdgeCount(), len(vol))
+	}
+	for i := 0; i < n; i++ {
+		for _, row := range [][]Edge{g.Outgoing(i), g.Incoming(i)} {
+			for k := 1; k < len(row); k++ {
+				if row[k-1].Peer >= row[k].Peer {
+					t.Fatalf("row of %d not strictly ascending: %v", i, row)
+				}
+			}
+		}
+		for _, e := range g.Outgoing(i) {
+			p := pair{i, e.Peer}
+			if math.Float64bits(e.Volume) != math.Float64bits(vol[p]) || math.Float64bits(e.Msgs) != math.Float64bits(msgs[p]) {
+				t.Fatalf("edge %v = %g/%g, running sums %g/%g", p, e.Volume, e.Msgs, vol[p], msgs[p])
+			}
+		}
+		for _, e := range g.Incoming(i) {
+			if e.Volume != g.Volume(e.Peer, i) || e.Msgs != g.Msgs(e.Peer, i) {
+				t.Fatalf("incoming edge %d→%d disagrees with its outgoing mirror", e.Peer, i)
+			}
+		}
+	}
+}
+
+func TestAddTrafficAfterReadPanics(t *testing.T) {
+	g := NewGraph(3)
+	g.AddTraffic(0, 1, 10, 1)
+	g.Quantity(2)
+	defer func() {
+		if recover() == nil {
+			t.Error("AddTraffic after a read did not panic")
+		}
+	}()
+	g.AddTraffic(1, 2, 5, 1)
+}
+
+// TestConcurrentFirstRead has several goroutines make the first reads of
+// a graph nobody has read yet; under -race it checks that the freeze is
+// synchronized and that every reader sees the same frozen rows.
+func TestConcurrentFirstRead(t *testing.T) {
+	const n = 200
+	g := NewGraph(n)
+	for i := 0; i < n; i++ {
+		g.AddTraffic(i, (i+1)%n, float64(100+i), 2)
+		g.AddTraffic(i, (i+7)%n, float64(50+i), 1)
+		g.AddTraffic((i+3)%n, i, 25, 1)
+	}
+	const readers = 8
+	sums := make([][4]float64, readers) // Outgoing, Incoming, Neighbors, Quantity
+	var wg sync.WaitGroup
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			var s [4]float64
+			for k := 0; k < n; k++ {
+				i := (k + r*n/readers) % n // each reader starts elsewhere
+				for c := 0; c < 4; c++ {
+					switch (c + r) % 4 { // and with a different first call
+					case 0:
+						for _, e := range g.Outgoing(i) {
+							s[0] += e.Volume
+						}
+					case 1:
+						for _, e := range g.Incoming(i) {
+							s[1] += e.Volume
+						}
+					case 2:
+						g.Neighbors(i, func(_ int, vol, _ float64) { s[2] += vol })
+					default:
+						s[3] += g.Quantity(i)
+					}
+				}
+			}
+			sums[r] = s
+		}(r)
+	}
+	wg.Wait()
+	if g.EdgeCount() != 3*n {
+		t.Errorf("EdgeCount = %d, want %d", g.EdgeCount(), 3*n)
+	}
+	total := g.TotalVolume()
+	for r, s := range sums {
+		for c, want := range [4]float64{total, total, 2 * total, 2 * total} {
+			if math.Abs(s[c]-want) > 1e-9*want {
+				t.Errorf("reader %d view %d summed %g, want %g", r, c, s[c], want)
+			}
+		}
 	}
 }

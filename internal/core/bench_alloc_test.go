@@ -8,7 +8,7 @@ import (
 
 // The BenchmarkAlloc* family gates the allocation discipline the allocsafe
 // rule enforces statically: every //geolint:allocfree root must measure
-// 0 allocs/op once its caches are warm. scripts/bench_alloc.sh runs them
+// 0 allocs/op once its state is warm. scripts/bench_alloc.sh runs them
 // with -benchmem and fails on any nonzero allocs/op.
 
 var (
@@ -17,12 +17,12 @@ var (
 	benchBool  bool
 )
 
-// benchAllocProblem returns a prewarmed clustered problem and a valid
-// placement, so the measured loops hit only cached adjacency views.
+// benchAllocProblem returns a clustered problem whose comm graph is
+// already frozen, and a valid placement, so the measured loops only read.
 func benchAllocProblem(b *testing.B) (*Problem, Placement) {
 	b.Helper()
 	p := clusteredProblem(64, 4, 11)
-	p.Comm.Prewarm()
+	p.Comm.Outgoing(0) // the first read freezes the graph
 	pl := make(Placement, p.N())
 	for i := range pl {
 		pl[i] = i % p.M()

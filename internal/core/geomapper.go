@@ -163,10 +163,7 @@ func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.C
 
 	// Split [0, κ!) into contiguous rank ranges, one per worker. Each
 	// worker owns a private heuristicState (the fill buffers are per-state,
-	// so nothing is shared beyond the read-only problem and groups). The
-	// comm graph's adjacency cache builds lazily on first use — force it
-	// now so the workers' Neighbors traversals are pure reads.
-	p.Comm.Prewarm()
+	// so nothing is shared beyond the read-only problem and groups).
 	results := make([]rangeResult, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)

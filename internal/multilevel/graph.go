@@ -25,8 +25,8 @@ import (
 )
 
 // Graph is a directed communication graph in CSR (compressed sparse row)
-// form, flattened for cache-friendly O(degree) traversal in the refinement
-// hot path. Each vertex is a super-vertex standing for Weight[v] original
+// form, for cache-friendly O(degree) traversal in the refinement hot path.
+// Each vertex is a super-vertex standing for Weight[v] original
 // processes; traffic between processes merged into the same super-vertex
 // is accumulated in the self arrays so every level charges the exact
 // intra-site α–β cost of its projected placement — total communication
@@ -36,17 +36,10 @@ type Graph struct {
 	n      int
 	weight []int // processes merged into each vertex (level 0: all 1)
 
-	// Directed adjacency, both orientations. outPeer[outIdx[v]:outIdx[v+1]]
-	// are the destinations of v's outgoing traffic in ascending order;
-	// the in arrays mirror it for fast column access (peer = sender).
-	outIdx  []int
-	outPeer []int
-	outVol  []float64
-	outMsgs []float64
-	inIdx   []int
-	inPeer  []int
-	inVol   []float64
-	inMsgs  []float64
+	// Directed adjacency, both orientations: out.Row(v) lists v's
+	// destinations in ascending order, in.Row(v) its senders. Level 0
+	// shares these arrays with the frozen comm.Graph.
+	out, in comm.Adjacency
 
 	// Intra-vertex traffic absorbed by contraction: the (volume, msgs)
 	// totals of all edges between processes merged into v. Charged at the
@@ -66,8 +59,8 @@ func (g *Graph) Weight(v int) int { return g.weight[v] }
 // traffic. Contraction preserves it exactly.
 func (g *Graph) TotalVolume() float64 {
 	var t float64
-	for _, v := range g.outVol {
-		t += v
+	for _, e := range g.out.Edges {
+		t += e.Volume
 	}
 	for _, v := range g.selfVol {
 		t += v
@@ -78,8 +71,8 @@ func (g *Graph) TotalVolume() float64 {
 // TotalMsgs is TotalVolume for message counts.
 func (g *Graph) TotalMsgs() float64 {
 	var t float64
-	for _, v := range g.outMsgs {
-		t += v
+	for _, e := range g.out.Edges {
+		t += e.Msgs
 	}
 	for _, v := range g.selfMsgs {
 		t += v
@@ -96,51 +89,23 @@ func (g *Graph) TotalWeight() int {
 	return t
 }
 
-// FromComm flattens a comm.Graph into level-0 CSR form (unit weights, no
-// self traffic). The adjacency caches are prewarmed as a side effect, so a
-// graph shared with concurrent readers is safe afterwards.
+// FromComm returns the level-0 graph of a comm.Graph: unit weights, no
+// self traffic, and a view of the comm graph's frozen CSR arrays rather
+// than a copy of its edges.
 func FromComm(cg *comm.Graph) *Graph {
 	n := cg.N()
-	cg.Prewarm()
+	out, in := cg.CSR()
 	g := &Graph{
 		n:        n,
 		weight:   make([]int, n),
-		outIdx:   make([]int, n+1),
-		inIdx:    make([]int, n+1),
+		out:      out,
+		in:       in,
 		selfVol:  make([]float64, n),
 		selfMsgs: make([]float64, n),
 	}
-	outEdges, inEdges := 0, 0
-	for v := 0; v < n; v++ {
+	for v := range g.weight {
 		g.weight[v] = 1
-		outEdges += len(cg.Outgoing(v))
-		inEdges += len(cg.Incoming(v))
 	}
-	g.outPeer = make([]int, outEdges)
-	g.outVol = make([]float64, outEdges)
-	g.outMsgs = make([]float64, outEdges)
-	g.inPeer = make([]int, inEdges)
-	g.inVol = make([]float64, inEdges)
-	g.inMsgs = make([]float64, inEdges)
-	oi, ii := 0, 0
-	for v := 0; v < n; v++ {
-		g.outIdx[v] = oi
-		for _, e := range cg.Outgoing(v) {
-			g.outPeer[oi] = e.Peer
-			g.outVol[oi] = e.Volume
-			g.outMsgs[oi] = e.Msgs
-			oi++
-		}
-		g.inIdx[v] = ii
-		for _, e := range cg.Incoming(v) {
-			g.inPeer[ii] = e.Peer
-			g.inVol[ii] = e.Volume
-			g.inMsgs[ii] = e.Msgs
-			ii++
-		}
-	}
-	g.outIdx[n] = oi
-	g.inIdx[n] = ii
 	return g
 }
 
@@ -180,8 +145,8 @@ func (in *Instance) cost(g *Graph, pl []int) units.Cost {
 	var c units.Cost
 	for v := 0; v < g.n; v++ {
 		sv := pl[v]
-		for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-			c += in.linkCost(sv, pl[g.outPeer[e]], g.outVol[e], g.outMsgs[e])
+		for _, e := range g.out.Row(v) {
+			c += in.linkCost(sv, pl[e.Peer], e.Volume, e.Msgs)
 		}
 		if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 			c += in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])

@@ -60,11 +60,11 @@ func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
 	im.refLat, im.refBW = in.refWeights()
 	for v := 0; v < n; v++ {
 		var q units.Cost
-		for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-			q += im.weight(g.outVol[e], g.outMsgs[e])
+		for _, e := range g.out.Row(v) {
+			q += im.weight(e.Volume, e.Msgs)
 		}
-		for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-			q += im.weight(g.inVol[e], g.inMsgs[e])
+		for _, e := range g.in.Row(v) {
+			q += im.weight(e.Volume, e.Msgs)
 		}
 		im.quantity[v] = q
 		im.byWeight[v] = v
@@ -313,10 +313,10 @@ func (im *initialMapper) rebuildAffinity(site int) {
 // been placed on the site currently being filled.
 func (im *initialMapper) addAffinity(v int) {
 	g := im.lv.g
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		im.affinity[g.outPeer[e]] += im.weight(g.outVol[e], g.outMsgs[e])
+	for _, e := range g.out.Row(v) {
+		im.affinity[e.Peer] += im.weight(e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		im.affinity[g.inPeer[e]] += im.weight(g.inVol[e], g.inMsgs[e])
+	for _, e := range g.in.Row(v) {
+		im.affinity[e.Peer] += im.weight(e.Volume, e.Msgs)
 	}
 }

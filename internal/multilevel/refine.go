@@ -166,18 +166,18 @@ func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
 			found = true
 		}
 	}
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		if d, ok := r.trySwap(pl, v, g.outPeer[e], best.delta); ok {
+	for _, e := range g.out.Row(v) {
+		if d, ok := r.trySwap(pl, v, e.Peer, best.delta); ok {
 			best.delta = d
-			best.peer = g.outPeer[e]
+			best.peer = e.Peer
 			best.site = -1
 			found = true
 		}
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		if d, ok := r.trySwap(pl, v, g.inPeer[e], best.delta); ok {
+	for _, e := range g.in.Row(v) {
+		if d, ok := r.trySwap(pl, v, e.Peer, best.delta); ok {
 			best.delta = d
-			best.peer = g.inPeer[e]
+			best.peer = e.Peer
 			best.site = -1
 			found = true
 		}
@@ -220,13 +220,13 @@ func (r *refiner) moveDelta(pl []int, v, s int) units.Cost {
 	g := r.g
 	sv := pl[v]
 	var d units.Cost
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		su := pl[g.outPeer[e]]
-		d += r.in.linkCost(s, su, g.outVol[e], g.outMsgs[e]) - r.in.linkCost(sv, su, g.outVol[e], g.outMsgs[e])
+	for _, e := range g.out.Row(v) {
+		su := pl[e.Peer]
+		d += r.in.linkCost(s, su, e.Volume, e.Msgs) - r.in.linkCost(sv, su, e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		su := pl[g.inPeer[e]]
-		d += r.in.linkCost(su, s, g.inVol[e], g.inMsgs[e]) - r.in.linkCost(su, sv, g.inVol[e], g.inMsgs[e])
+	for _, e := range g.in.Row(v) {
+		su := pl[e.Peer]
+		d += r.in.linkCost(su, s, e.Volume, e.Msgs) - r.in.linkCost(su, sv, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 		d += r.in.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
@@ -257,31 +257,31 @@ func (r *refiner) swapDelta(pl []int, v, u int) units.Cost {
 	g := r.g
 	sv, su := pl[v], pl[u]
 	var d units.Cost
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		j := g.outPeer[e]
-		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), g.outVol[e], g.outMsgs[e]) -
-			r.in.linkCost(sv, pl[j], g.outVol[e], g.outMsgs[e])
+	for _, e := range g.out.Row(v) {
+		j := e.Peer
+		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.in.linkCost(sv, pl[j], e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		j := g.inPeer[e]
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, g.inVol[e], g.inMsgs[e]) -
-			r.in.linkCost(pl[j], sv, g.inVol[e], g.inMsgs[e])
+	for _, e := range g.in.Row(v) {
+		j := e.Peer
+		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
+			r.in.linkCost(pl[j], sv, e.Volume, e.Msgs)
 	}
-	for e := g.outIdx[u]; e < g.outIdx[u+1]; e++ {
-		j := g.outPeer[e]
+	for _, e := range g.out.Row(u) {
+		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), g.outVol[e], g.outMsgs[e]) -
-			r.in.linkCost(su, pl[j], g.outVol[e], g.outMsgs[e])
+		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.in.linkCost(su, pl[j], e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[u]; e < g.inIdx[u+1]; e++ {
-		j := g.inPeer[e]
+	for _, e := range g.in.Row(u) {
+		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, g.inVol[e], g.inMsgs[e]) -
-			r.in.linkCost(pl[j], su, g.inVol[e], g.inMsgs[e])
+		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
+			r.in.linkCost(pl[j], su, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 		d += r.in.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])

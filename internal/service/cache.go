@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"context"
 	"sync"
+
+	"geoprocmap/internal/comm"
 )
 
 // resultCache is a fingerprint-keyed LRU of solved mapping results with
@@ -88,6 +90,67 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// graphMemoCap bounds the profiled-workload memo. Its keys are
+// (workload, procs, iters) triples that clients choose freely, so an
+// unbounded memo would let key churn grow memory without limit. A working
+// set of every preset at a handful of sizes fits many times over.
+const graphMemoCap = 128
+
+// graphMemo is a mutex-guarded LRU of profiled workload graphs. The
+// graphs it hands out are shared by concurrent solves; that is safe
+// because a comm.Graph freezes on its first read.
+type graphMemo struct {
+	mu      sync.Mutex
+	order   *list.List               // front = most recent
+	entries map[string]*list.Element // key → element whose Value is *graphEntry
+}
+
+type graphEntry struct {
+	key string
+	g   *comm.Graph
+}
+
+func newGraphMemo() *graphMemo {
+	return &graphMemo{order: list.New(), entries: make(map[string]*list.Element)}
+}
+
+// get returns the memoized graph for key, refreshing its recency.
+func (m *graphMemo) get(key string) (*comm.Graph, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[key]
+	if !ok {
+		return nil, false
+	}
+	m.order.MoveToFront(el)
+	return el.Value.(*graphEntry).g, true
+}
+
+// add memoizes a graph, evicting the least-recently-used one past
+// graphMemoCap.
+func (m *graphMemo) add(key string, g *comm.Graph) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[key]; ok {
+		m.order.MoveToFront(el)
+		el.Value.(*graphEntry).g = g
+		return
+	}
+	m.entries[key] = m.order.PushFront(&graphEntry{key: key, g: g})
+	for m.order.Len() > graphMemoCap {
+		last := m.order.Back()
+		m.order.Remove(last)
+		delete(m.entries, last.Value.(*graphEntry).key)
+	}
+}
+
+// len returns the number of memoized graphs.
+func (m *graphMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.order.Len()
 }
 
 // CachedPlacement is one cached (request, result) pair, exposed to the

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,5 +158,41 @@ func TestCacheRace(t *testing.T) {
 	wg.Wait()
 	if c.len() > 16 {
 		t.Errorf("cache grew to %d past capacity 16", c.len())
+	}
+}
+
+// TestGraphMemoBounded is the key-churn regression for the workload memo:
+// more distinct (workload, procs, iters) keys than its capacity leave it
+// at capacity, and a request whose graph was evicted is re-profiled into
+// the same placement.
+func TestGraphMemoBounded(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 1})
+	h := srv.Handler()
+	req := MapRequest{Workload: "LU", Procs: 16, Seed: 3}
+	var first MapResponse
+	postMap(t, h, req, http.StatusOK, &first)
+
+	for iters := 1; iters <= graphMemoCap+8; iters++ {
+		if _, err := srv.graphFor("SP", 4, iters); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.graphs.len(); n > graphMemoCap {
+			t.Fatalf("memo holds %d graphs after %d keys, capacity %d", n, iters+1, graphMemoCap)
+		}
+	}
+	if _, ok := srv.graphs.get(fmt.Sprintf("LU/16/%d", req.iters())); ok {
+		t.Fatal("the first request's graph survived more than capacity newer keys")
+	}
+
+	// Push the first result out of the one-entry result cache, so the
+	// repeat has to profile and solve again.
+	postMap(t, h, MapRequest{Workload: "SP", Procs: 16, Seed: 3}, http.StatusOK, nil)
+	var again MapResponse
+	postMap(t, h, req, http.StatusOK, &again)
+	if again.Cached {
+		t.Fatal("repeat was served from the result cache; it must re-profile")
+	}
+	if again.Digest != first.Digest || again.Digest != PlacementDigest(first.Placement) {
+		t.Errorf("re-profiled placement digest %s, first %s", again.Digest, first.Digest)
 	}
 }

@@ -98,8 +98,7 @@ type Server struct {
 	// graphs memoizes profiled workload patterns keyed by
 	// "workload/procs/iters"; profiling LU at n=64 costs milliseconds
 	// but doing it per request would dominate cached-path latency.
-	graphMu sync.Mutex
-	graphs  map[string]*comm.Graph
+	graphs *graphMemo
 
 	// solveHook, when non-nil, runs inside every executed solve; tests
 	// use it to inject latency and synchronization.
@@ -160,7 +159,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started:         started,
 		obsVersion:      cfg.Store.Current().Version,
 		obsAt:           started,
-		graphs:          map[string]*comm.Graph{},
+		graphs:          newGraphMemo(),
 		statusProbes:    map[string]StatusFunc{},
 	}
 	if s.cluster != nil {
@@ -447,32 +446,23 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*M
 	return res, solveErr
 }
 
-// graphFor memoizes workload profiling. Concurrent first requests for
-// the same key profile once thanks to the singleflight layer above; the
-// plain mutex here only guards the map.
+// graphFor memoizes workload profiling in a bounded LRU. Concurrent
+// first requests for the same key profile once thanks to the singleflight
+// layer above; the memo's mutex only guards its bookkeeping.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
-	s.graphMu.Lock()
-	g, ok := s.graphs[key]
-	s.graphMu.Unlock()
-	if ok {
+	if g, ok := s.graphs.get(key); ok {
 		return g, nil
 	}
 	app, err := apps.ByName(workload)
 	if err != nil {
 		return nil, err
 	}
-	g, err = apps.Graph(app, procs, iters)
+	g, err := apps.Graph(app, procs, iters)
 	if err != nil {
 		return nil, err
 	}
-	// Build the adjacency caches before publishing: the memoized graph is
-	// shared by concurrent solves, whose reads must not trigger the
-	// unsynchronized lazy rebuilds.
-	g.Prewarm()
-	s.graphMu.Lock()
-	s.graphs[key] = g
-	s.graphMu.Unlock()
+	s.graphs.add(key, g)
 	return g, nil
 }
 
