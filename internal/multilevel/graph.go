@@ -25,8 +25,8 @@ import (
 )
 
 // Graph is a directed communication graph in CSR (compressed sparse row)
-// form, for cache-friendly O(degree) traversal in the refinement hot path.
-// Each vertex is a super-vertex standing for Weight[v] original
+// form, flattened for cache-friendly O(degree) traversal in the refinement
+// hot path. Each vertex is a super-vertex standing for Weight[v] original
 // processes; traffic between processes merged into the same super-vertex
 // is accumulated in the self arrays so every level charges the exact
 // intra-site α–β cost of its projected placement — total communication

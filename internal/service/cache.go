@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-
-	"geoprocmap/internal/comm"
 )
 
 // resultCache is a fingerprint-keyed LRU of solved mapping results with
@@ -22,14 +20,11 @@ import (
 // migrating.
 type resultCache struct {
 	mu       sync.Mutex
-	capacity int
-	order    *list.List               // front = most recent
-	entries  map[string]*list.Element // fingerprint → element whose Value is *cacheEntry
-	inflight map[string]*flight       // fingerprint → in-progress solve
+	lru      lru[cacheEntry]    // fingerprint → solved result
+	inflight map[string]*flight // fingerprint → in-progress solve
 }
 
 type cacheEntry struct {
-	key string
 	req *MapRequest
 	res *MapResult
 }
@@ -42,27 +37,15 @@ type flight struct {
 }
 
 func newResultCache(capacity int) *resultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &resultCache{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
-	}
+	return &resultCache{lru: newLRU[cacheEntry](capacity), inflight: make(map[string]*flight)}
 }
 
 // get returns the cached result for key, refreshing its recency.
 func (c *resultCache) get(key string) (*MapResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	e, ok := c.lru.get(key)
+	return e.res, ok
 }
 
 // add inserts a result, evicting the least-recently-used entry past
@@ -70,87 +53,58 @@ func (c *resultCache) get(key string) (*MapResult, bool) {
 func (c *resultCache) add(key string, req *MapRequest, res *MapResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		entry.req = req
-		entry.res = res
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, req: req, res: res})
-	for c.order.Len() > c.capacity {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-	}
+	c.lru.add(key, cacheEntry{req: req, res: res})
 }
 
 // len returns the number of cached results.
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.order.Len()
 }
 
-// graphMemoCap bounds the profiled-workload memo. Its keys are
-// (workload, procs, iters) triples that clients choose freely, so an
-// unbounded memo would let key churn grow memory without limit. A working
-// set of every preset at a handful of sizes fits many times over.
-const graphMemoCap = 128
-
-// graphMemo is a mutex-guarded LRU of profiled workload graphs. The
-// graphs it hands out are shared by concurrent solves; that is safe
-// because a comm.Graph freezes on its first read.
-type graphMemo struct {
-	mu      sync.Mutex
-	order   *list.List               // front = most recent
-	entries map[string]*list.Element // key → element whose Value is *graphEntry
+// lru is a string-keyed least-recently-used map with a fixed capacity.
+// It is not synchronized; its owners guard it with their own mutex.
+type lru[V any] struct {
+	capacity int
+	order    *list.List               // front = most recent
+	entries  map[string]*list.Element // key → element whose Value is *lruEntry[V]
 }
 
-type graphEntry struct {
+type lruEntry[V any] struct {
 	key string
-	g   *comm.Graph
+	val V
 }
 
-func newGraphMemo() *graphMemo {
-	return &graphMemo{order: list.New(), entries: make(map[string]*list.Element)}
+func newLRU[V any](capacity int) lru[V] {
+	return lru[V]{capacity: max(capacity, 1), order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// get returns the memoized graph for key, refreshing its recency.
-func (m *graphMemo) get(key string) (*comm.Graph, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
+// get returns the value for key, refreshing its recency.
+func (l *lru[V]) get(key string) (V, bool) {
+	el, ok := l.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	m.order.MoveToFront(el)
-	return el.Value.(*graphEntry).g, true
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// add memoizes a graph, evicting the least-recently-used one past
-// graphMemoCap.
-func (m *graphMemo) add(key string, g *comm.Graph) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		m.order.MoveToFront(el)
-		el.Value.(*graphEntry).g = g
+// add inserts or replaces the value for key as the most recent entry,
+// evicting the least-recently-used entries past capacity.
+func (l *lru[V]) add(key string, v V) {
+	if el, ok := l.entries[key]; ok {
+		l.order.MoveToFront(el)
+		el.Value.(*lruEntry[V]).val = v
 		return
 	}
-	m.entries[key] = m.order.PushFront(&graphEntry{key: key, g: g})
-	for m.order.Len() > graphMemoCap {
-		last := m.order.Back()
-		m.order.Remove(last)
-		delete(m.entries, last.Value.(*graphEntry).key)
+	l.entries[key] = l.order.PushFront(&lruEntry[V]{key: key, val: v})
+	for l.order.Len() > l.capacity {
+		last := l.order.Back()
+		l.order.Remove(last)
+		delete(l.entries, last.Value.(*lruEntry[V]).key)
 	}
-}
-
-// len returns the number of memoized graphs.
-func (m *graphMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
 }
 
 // CachedPlacement is one cached (request, result) pair, exposed to the
@@ -169,10 +123,10 @@ type CachedPlacement struct {
 func (c *resultCache) walk() []CachedPlacement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CachedPlacement, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, CachedPlacement{Key: e.key, Request: e.req, Result: e.res})
+	out := make([]CachedPlacement, 0, c.lru.order.Len())
+	for el := c.lru.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*lruEntry[cacheEntry])
+		out = append(out, CachedPlacement{Key: e.key, Request: e.val.req, Result: e.val.res})
 	}
 	return out
 }
@@ -190,11 +144,9 @@ func (c *resultCache) walk() []CachedPlacement {
 // are not cached: the next request retries.
 func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve func() (*MapResult, error)) (res *MapResult, shared bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		res = el.Value.(*cacheEntry).res
+	if e, ok := c.lru.get(key); ok {
 		c.mu.Unlock()
-		return res, true, nil
+		return e.res, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()

@@ -176,11 +176,11 @@ func TestGraphMemoBounded(t *testing.T) {
 		if _, err := srv.graphFor("SP", 4, iters); err != nil {
 			t.Fatal(err)
 		}
-		if n := srv.graphs.len(); n > graphMemoCap {
+		if n := srv.graphs.order.Len(); n > graphMemoCap {
 			t.Fatalf("memo holds %d graphs after %d keys, capacity %d", n, iters+1, graphMemoCap)
 		}
 	}
-	if _, ok := srv.graphs.get(fmt.Sprintf("LU/16/%d", req.iters())); ok {
+	if _, ok := srv.graphs.entries[fmt.Sprintf("LU/16/%d", req.iters())]; ok {
 		t.Fatal("the first request's graph survived more than capacity newer keys")
 	}
 

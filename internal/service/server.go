@@ -98,7 +98,8 @@ type Server struct {
 	// graphs memoizes profiled workload patterns keyed by
 	// "workload/procs/iters"; profiling LU at n=64 costs milliseconds
 	// but doing it per request would dominate cached-path latency.
-	graphs *graphMemo
+	graphMu sync.Mutex
+	graphs  lru[*comm.Graph]
 
 	// solveHook, when non-nil, runs inside every executed solve; tests
 	// use it to inject latency and synchronization.
@@ -159,7 +160,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started:         started,
 		obsVersion:      cfg.Store.Current().Version,
 		obsAt:           started,
-		graphs:          newGraphMemo(),
+		graphs:          newLRU[*comm.Graph](graphMemoCap),
 		statusProbes:    map[string]StatusFunc{},
 	}
 	if s.cluster != nil {
@@ -446,23 +447,36 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*M
 	return res, solveErr
 }
 
-// graphFor memoizes workload profiling in a bounded LRU. Concurrent
-// first requests for the same key profile once thanks to the singleflight
-// layer above; the memo's mutex only guards its bookkeeping.
+// graphMemoCap bounds the profiled-workload memo. Its keys are
+// (workload, procs, iters) triples that clients choose freely, so an
+// unbounded memo would let key churn grow memory without limit. A working
+// set of every preset at a handful of sizes fits many times over.
+const graphMemoCap = 128
+
+// graphFor memoizes workload profiling in an LRU of graphMemoCap graphs.
+// Concurrent first requests for the same key profile once thanks to the
+// singleflight layer above; the plain mutex here only guards the LRU.
+// Concurrent solves share a memoized graph safely because a comm.Graph
+// freezes on its first read.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
-	if g, ok := s.graphs.get(key); ok {
+	s.graphMu.Lock()
+	g, ok := s.graphs.get(key)
+	s.graphMu.Unlock()
+	if ok {
 		return g, nil
 	}
 	app, err := apps.ByName(workload)
 	if err != nil {
 		return nil, err
 	}
-	g, err := apps.Graph(app, procs, iters)
+	g, err = apps.Graph(app, procs, iters)
 	if err != nil {
 		return nil, err
 	}
+	s.graphMu.Lock()
 	s.graphs.add(key, g)
+	s.graphMu.Unlock()
 	return g, nil
 }
 
