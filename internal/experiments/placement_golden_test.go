@@ -80,6 +80,29 @@ func goldenSynthetic(t *testing.T) *core.Problem {
 	return p
 }
 
+// goldenNonQuiet is a 2048-process, 8-site synthetic instance whose
+// network is not intra-site dominant: the intra-site rates differ from
+// site to site, and the (2, 3) link is cheaper in both latency and
+// bandwidth than either site's own intra pair. Moving a process whose
+// neighbours all share its site can then pay off, so the multilevel
+// refinement has to scan such processes too.
+func goldenNonQuiet(t *testing.T) *core.Problem {
+	t.Helper()
+	p := syntheticProblem(2048, 8, 5)
+	for k := 0; k < p.M(); k++ {
+		p.LT.Set(k, k, 0.0002*float64(1+k%3))
+		p.BT.Set(k, k, 1e9/float64(1+k%4))
+	}
+	for _, kl := range [][2]int{{2, 3}, {3, 2}} {
+		p.LT.Set(kl[0], kl[1], 0.0001)
+		p.BT.Set(kl[0], kl[1], 2e9)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // remapFrom runs core.Remap on the placement of a base mapper after the
 // (0, 2) link degrades and, where the other sites can absorb its
 // processes, site 1 dies.
@@ -107,7 +130,8 @@ func mapWith(m core.Mapper) func(p *core.Problem) (core.Placement, error) { retu
 // every mapper produces on two fixed instances. TestSeedDeterminism only
 // compares two runs of one build; this test compares against digests
 // checked in from an earlier build, so a refactor that shifts a single
-// placement or the last bit of a cost fails here. Run with -update to
+// placement or the last bit of a cost fails here. A third instance with a
+// non-dominant network pins the multilevel mapper alone. Run with -update to
 // regenerate testdata/placement.golden.txt after an intended change.
 func TestPlacementGolden(t *testing.T) {
 	if testing.Short() {
@@ -133,6 +157,9 @@ func TestPlacementGolden(t *testing.T) {
 			goldenCase{pc.name + "/remap", pc.p, remapFrom(&core.GeoMapper{Kappa: 4, Seed: 42, Workers: 1})},
 		)
 	}
+
+	nq := goldenNonQuiet(t)
+	cases = append(cases, goldenCase{"nonquiet2048/multilevel", nq, mapWith(&core.MultilevelGeoMapper{Seed: 42, Workers: 2})})
 
 	var got bytes.Buffer
 	for _, c := range cases {
