@@ -235,7 +235,7 @@ func main() {
 	logger.Printf("listening on %s (%d sites × %d nodes, snapshot v%d from %s)",
 		ln.Addr(), cloud.M(), *nodes, store.Current().Version, store.Current().Source)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -262,6 +262,29 @@ func main() {
 	v := srv.Metrics().Snapshot(0, 0)
 	logger.Printf("drained: %d requests (%d solves, %d cache hits, %d deduped, %d shed)",
 		v.Requests, v.Solves, v.CacheHits, v.Deduped, v.Rejected)
+}
+
+// Connection timeouts of the HTTP server. A client gets readHeaderTimeout
+// to send its request header and readTimeout for the whole request, body
+// included, so a slow or stalled client cannot hold a connection (and its
+// goroutine) open forever; an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no write timeout: a large solve may
+// answer long after its request arrived, and its deadline is the
+// per-request -deadline, not the connection's.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the daemon's http.Server for handler h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func fatal(err error) {

@@ -8,9 +8,9 @@
 // Assignment" (Schulz & Träff) and "Shared-Memory Hierarchical Process
 // Mapping" (Schulz & Woydt): the κ! order search that makes the flat
 // heuristic super-polynomial only ever runs on a few×M super-vertices, so
-// the end-to-end complexity is dominated by the O(E·M) refinement sweeps —
-// linear in the communication pattern for the sparse workloads the paper
-// evaluates.
+// the end-to-end complexity is dominated by the refinement sweeps,
+// O(E + B·deg·M) for B boundary vertices — linear in the communication
+// pattern for the sparse workloads the paper evaluates.
 //
 // The package deliberately does not import internal/core: core exposes the
 // solver as core.MultilevelGeoMapper, so the dependency points the other
@@ -130,9 +130,16 @@ func (in *Instance) M() int { return len(in.Capacity) }
 //
 //geolint:allocfree
 func (in *Instance) linkCost(k, l int, vol, msgs float64) units.Cost {
-	lat := units.Seconds(in.LT.At(k, l))
-	bw := units.BytesPerSec(in.BT.At(k, l))
-	return (lat.Scale(msgs) + units.Bytes(vol).Over(bw)).AsCost()
+	return alphaBeta(in.LT.At(k, l), in.BT.At(k, l), vol, msgs)
+}
+
+// alphaBeta is the per-edge term of Formula 3 for one site pair's latency
+// lt and bandwidth bt: lt·msgs + vol/bt, rounded exactly as written (no
+// reciprocal), so every caller prices an edge to the same bits.
+//
+//geolint:allocfree
+func alphaBeta(lt, bt, vol, msgs float64) units.Cost {
+	return (units.Seconds(lt).Scale(msgs) + units.Bytes(vol).Over(units.BytesPerSec(bt))).AsCost()
 }
 
 // cost evaluates the full objective of a placement over graph g (any

@@ -327,9 +327,9 @@ func TestProposeRangeDoesNotAllocate(t *testing.T) {
 	}
 	tol := refineTol(in.Cost(pl))
 	// Grow the buffer to its high-water mark before measuring.
-	r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
+	r.proposeRange(pl, 0, in.G.N(), tol, &r.scans[0])
 	allocs := testing.AllocsPerRun(50, func() {
-		r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
+		r.proposeRange(pl, 0, in.G.N(), tol, &r.scans[0])
 	})
 	if allocs != 0 {
 		t.Fatalf("proposeRange allocates %.1f times per sweep, want 0", allocs)

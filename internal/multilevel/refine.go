@@ -30,10 +30,24 @@ type proposal struct {
 // peer, then site) leave no equal elements — so the commit sequence, and
 // therefore the placement, is byte-identical whether one goroutine
 // proposed or sixteen did.
+//
+// Only boundary vertices are scanned: a vertex whose neighbours all share
+// its site, on a quiet site, has no improving step (see interior), so
+// skipping it leaves the proposal list unchanged element for element.
 type refiner struct {
 	in      *Instance
 	workers int
 	passes  int
+
+	// Row-major copies of LT and BT (pair (k, l) at k*m+l), read by the
+	// kernel in place of mat.At.
+	m      int
+	lt, bt []float64
+	// quiet[k]: every pair touching site k is at least as slow as k's
+	// intra pair, so re-pricing an edge internal to k at any other site
+	// cannot lower its cost. quietSelf[k]: k's intra pair is the cheapest
+	// intra pair, the same guarantee for absorbed self traffic.
+	quiet, quietSelf []bool
 
 	// Per-level wiring (set by attach).
 	g       *Graph
@@ -41,20 +55,67 @@ type refiner struct {
 	allowed [][]int
 
 	load  []int
-	bufs  [][]proposal
+	scans []scan
 	props []proposal
 
 	moves, swaps, totalPasses int
 }
 
+// scan is one proposal worker's reusable state, reset with [:0] per use.
+type scan struct {
+	props []proposal
+	// cur holds the current-site cost of each edge incident to the vertex
+	// being scanned: out edges, then in edges, as bestStep visits them.
+	cur []units.Cost
+}
+
 func newRefiner(in *Instance, workers, passes int) *refiner {
-	return &refiner{
-		in:      in,
-		workers: workers,
-		passes:  passes,
-		load:    make([]int, in.M()),
-		bufs:    make([][]proposal, workers),
+	m := in.M()
+	r := &refiner{
+		in:        in,
+		workers:   workers,
+		passes:    passes,
+		m:         m,
+		lt:        make([]float64, m*m),
+		bt:        make([]float64, m*m),
+		quiet:     make([]bool, m),
+		quietSelf: make([]bool, m),
+		load:      make([]int, m),
+		scans:     make([]scan, workers),
 	}
+	for k := 0; k < m; k++ {
+		for l := 0; l < m; l++ {
+			r.lt[k*m+l] = in.LT.At(k, l)
+			r.bt[k*m+l] = in.BT.At(k, l)
+		}
+	}
+	// Each test is written !(a >= b) so a NaN entry disqualifies the site;
+	// a non-positive bandwidth does too, since vol/bt is only monotone in
+	// bt over positive rates.
+	for k := 0; k < m; k++ {
+		ltkk, btkk := r.lt[k*m+k], r.bt[k*m+k]
+		quiet, quietSelf := btkk > 0, btkk > 0
+		for s := 0; s < m; s++ {
+			ks, sk, ss := k*m+s, s*m+k, s*m+s
+			if !(r.lt[ks] >= ltkk) || !(r.lt[sk] >= ltkk) ||
+				!(r.bt[ks] <= btkk) || !(r.bt[sk] <= btkk) || !(r.bt[ks] > 0) || !(r.bt[sk] > 0) {
+				quiet = false
+			}
+			if !(r.lt[ss] >= ltkk) || !(r.bt[ss] <= btkk) || !(r.bt[ss] > 0) {
+				quietSelf = false
+			}
+		}
+		r.quiet[k], r.quietSelf[k] = quiet, quietSelf
+	}
+	return r
+}
+
+// linkCost is Instance.linkCost over the flat matrices.
+//
+//geolint:allocfree
+func (r *refiner) linkCost(k, l int, vol, msgs float64) units.Cost {
+	i := k*r.m + l
+	return alphaBeta(r.lt[i], r.bt[i], vol, msgs)
 }
 
 // attach points the refiner at one hierarchy level.
@@ -94,9 +155,9 @@ func (r *refiner) propose(pl []int, tol units.Cost) {
 		workers = n
 	}
 	if workers <= 1 {
-		r.bufs[0] = r.proposeRange(pl, 0, n, tol, r.bufs[0][:0])
+		r.proposeRange(pl, 0, n, tol, &r.scans[0])
 		r.props = r.props[:0]
-		r.props = append(r.props, r.bufs[0]...)
+		r.props = append(r.props, r.scans[0].props...)
 		return
 	}
 	var wg sync.WaitGroup
@@ -106,37 +167,64 @@ func (r *refiner) propose(pl []int, tol units.Cost) {
 			defer wg.Done()
 			lo := w * n / workers
 			hi := (w + 1) * n / workers
-			r.bufs[w] = r.proposeRange(pl, lo, hi, tol, r.bufs[w][:0])
+			r.proposeRange(pl, lo, hi, tol, &r.scans[w])
 		}(w)
 	}
 	wg.Wait()
 	r.props = r.props[:0]
 	for w := 0; w < workers; w++ {
-		r.props = append(r.props, r.bufs[w]...)
+		r.props = append(r.props, r.scans[w].props...)
 	}
 }
 
-// proposeRange is the refinement inner loop: for every unpinned vertex in
-// [lo, hi) it evaluates all admissible site moves and neighbor swaps
-// against the snapshot and records the best one if it clears the
-// tolerance. All evaluation is O(degree) arithmetic over the CSR arrays;
-// the buffer is reset to [:0] by the caller each pass, so steady-state
+// proposeRange is the refinement inner loop: for every unpinned boundary
+// vertex in [lo, hi) it evaluates all admissible site moves and neighbor
+// swaps against the snapshot and records the best one in sc.props if it
+// clears the tolerance. All evaluation is O(degree) arithmetic over the
+// CSR arrays; sc's buffers are reset to [:0] each call, so steady-state
 // passes do not allocate — BenchmarkRefineMove* and the bench-alloc gate
 // measure exactly this path.
 //
 //geolint:allocfree
-func (r *refiner) proposeRange(pl []int, lo, hi int, tol units.Cost, buf []proposal) []proposal {
+func (r *refiner) proposeRange(pl []int, lo, hi int, tol units.Cost, sc *scan) {
+	sc.props = sc.props[:0]
 	for v := lo; v < hi; v++ {
-		if r.pin[v] >= 0 {
+		if r.pin[v] >= 0 || r.interior(pl, v) {
 			continue
 		}
-		p, ok := r.bestStep(pl, v, tol)
+		p, ok := r.bestStep(pl, v, tol, sc)
 		if ok {
-			//geolint:allocsite amortized: the proposal buffer is reset to [:0] per pass, so growth converges to the per-pass high-water mark
-			buf = append(buf, p)
+			sc.props = append(sc.props, p)
 		}
 	}
-	return buf
+}
+
+// interior reports whether v can be skipped: its site is quiet, its self
+// traffic (if any) sits on a quietSelf site, and every neighbour shares
+// its site. Such a vertex has no improving step. Traffic is non-negative,
+// so each incident edge's re-priced term new − old is ≥ 0 (or NaN) under
+// the quiet inequalities — IEEE rounding is monotone — and so is their
+// sum, which therefore never clears the −tol bound; and trySwap rejects
+// every neighbour that shares v's site. bestStep would propose nothing.
+//
+//geolint:allocfree
+func (r *refiner) interior(pl []int, v int) bool {
+	g := r.g
+	sv := pl[v]
+	if !r.quiet[sv] || (!r.quietSelf[sv] && (g.selfVol[v] != 0 || g.selfMsgs[v] != 0)) {
+		return false
+	}
+	for _, e := range g.out.Row(v) {
+		if pl[e.Peer] != sv {
+			return false
+		}
+	}
+	for _, e := range g.in.Row(v) {
+		if pl[e.Peer] != sv {
+			return false
+		}
+	}
+	return true
 }
 
 // bestStep returns v's best admissible step against the snapshot: the
@@ -144,21 +232,49 @@ func (r *refiner) proposeRange(pl []int, lo, hi int, tol units.Cost, buf []propo
 // neighbor swaps (peers ascending), strict improvement only. The scan
 // order plus strict < make the winner independent of evaluation order.
 //
+// Each move delta is moveDelta's sum, term for term, with the current-site
+// cost of every edge priced once into sc.cur instead of once per site.
+//
 //geolint:allocfree
-func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
+func (r *refiner) bestStep(pl []int, v int, tol units.Cost, sc *scan) (proposal, bool) {
 	g := r.g
 	sv := pl[v]
 	w := g.weight[v]
+	out, in := g.out.Row(v), g.in.Row(v)
+	cur := sc.cur[:0]
+	for _, e := range out {
+		cur = append(cur, r.linkCost(sv, pl[e.Peer], e.Volume, e.Msgs))
+	}
+	for _, e := range in {
+		cur = append(cur, r.linkCost(pl[e.Peer], sv, e.Volume, e.Msgs))
+	}
+	sc.cur = cur
+	curOut, curIn := cur[:len(out)], cur[len(out):]
+	selfVol, selfMsgs := g.selfVol[v], g.selfMsgs[v]
+	self := selfVol != 0 || selfMsgs != 0
+	var curSelf units.Cost
+	if self {
+		curSelf = r.linkCost(sv, sv, selfVol, selfMsgs)
+	}
 	best := proposal{delta: -tol, v: v, peer: -1, site: -1}
 	found := false
-	for s := 0; s < r.in.M(); s++ {
+	for s := 0; s < r.m; s++ {
 		if s == sv || !allowedOn(-1, r.allowed[v], s) {
 			continue
 		}
 		if r.load[s]+w > r.in.Capacity[s] {
 			continue
 		}
-		d := r.moveDelta(pl, v, s)
+		var d units.Cost
+		for i, e := range out {
+			d += r.linkCost(s, pl[e.Peer], e.Volume, e.Msgs) - curOut[i]
+		}
+		for i, e := range in {
+			d += r.linkCost(pl[e.Peer], s, e.Volume, e.Msgs) - curIn[i]
+		}
+		if self {
+			d += r.linkCost(s, s, selfVol, selfMsgs) - curSelf
+		}
 		if d < best.delta {
 			best.delta = d
 			best.peer = -1
@@ -166,7 +282,7 @@ func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
 			found = true
 		}
 	}
-	for _, e := range g.out.Row(v) {
+	for _, e := range out {
 		if d, ok := r.trySwap(pl, v, e.Peer, best.delta); ok {
 			best.delta = d
 			best.peer = e.Peer
@@ -174,7 +290,7 @@ func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
 			found = true
 		}
 	}
-	for _, e := range g.in.Row(v) {
+	for _, e := range in {
 		if d, ok := r.trySwap(pl, v, e.Peer, best.delta); ok {
 			best.delta = d
 			best.peer = e.Peer
@@ -214,6 +330,8 @@ func (r *refiner) trySwap(pl []int, v, u int, bound units.Cost) (units.Cost, boo
 // moveDelta is the objective change of moving v to site s: its incident
 // directed edges re-priced at the new site pair, plus its absorbed
 // intra-vertex traffic re-priced at the new intra-site rate. O(degree).
+// commit re-validates moves with it; bestStep sums the same terms in the
+// same order, so a proposal's delta and its re-validation agree bitwise.
 //
 //geolint:allocfree
 func (r *refiner) moveDelta(pl []int, v, s int) units.Cost {
@@ -222,14 +340,14 @@ func (r *refiner) moveDelta(pl []int, v, s int) units.Cost {
 	var d units.Cost
 	for _, e := range g.out.Row(v) {
 		su := pl[e.Peer]
-		d += r.in.linkCost(s, su, e.Volume, e.Msgs) - r.in.linkCost(sv, su, e.Volume, e.Msgs)
+		d += r.linkCost(s, su, e.Volume, e.Msgs) - r.linkCost(sv, su, e.Volume, e.Msgs)
 	}
 	for _, e := range g.in.Row(v) {
 		su := pl[e.Peer]
-		d += r.in.linkCost(su, s, e.Volume, e.Msgs) - r.in.linkCost(su, sv, e.Volume, e.Msgs)
+		d += r.linkCost(su, s, e.Volume, e.Msgs) - r.linkCost(su, sv, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
-		d += r.in.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
+		d += r.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - r.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
 	}
 	return d
 }
@@ -259,35 +377,35 @@ func (r *refiner) swapDelta(pl []int, v, u int) units.Cost {
 	var d units.Cost
 	for _, e := range g.out.Row(v) {
 		j := e.Peer
-		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
-			r.in.linkCost(sv, pl[j], e.Volume, e.Msgs)
+		d += r.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.linkCost(sv, pl[j], e.Volume, e.Msgs)
 	}
 	for _, e := range g.in.Row(v) {
 		j := e.Peer
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
-			r.in.linkCost(pl[j], sv, e.Volume, e.Msgs)
+		d += r.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
+			r.linkCost(pl[j], sv, e.Volume, e.Msgs)
 	}
 	for _, e := range g.out.Row(u) {
 		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
-			r.in.linkCost(su, pl[j], e.Volume, e.Msgs)
+		d += r.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.linkCost(su, pl[j], e.Volume, e.Msgs)
 	}
 	for _, e := range g.in.Row(u) {
 		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
-			r.in.linkCost(pl[j], su, e.Volume, e.Msgs)
+		d += r.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
+			r.linkCost(pl[j], su, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
-		d += r.in.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
+		d += r.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - r.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
 	}
 	if g.selfVol[u] != 0 || g.selfMsgs[u] != 0 {
-		d += r.in.linkCost(sv, sv, g.selfVol[u], g.selfMsgs[u]) - r.in.linkCost(su, su, g.selfVol[u], g.selfMsgs[u])
+		d += r.linkCost(sv, sv, g.selfVol[u], g.selfMsgs[u]) - r.linkCost(su, su, g.selfVol[u], g.selfMsgs[u])
 	}
 	return d
 }

@@ -66,9 +66,10 @@ func (c *resultCache) len() int {
 // lru is a string-keyed least-recently-used map with a fixed capacity.
 // It is not synchronized; its owners guard it with their own mutex.
 type lru[V any] struct {
-	capacity int
-	order    *list.List               // front = most recent
-	entries  map[string]*list.Element // key → element whose Value is *lruEntry[V]
+	capacity  int
+	order     *list.List               // front = most recent
+	entries   map[string]*list.Element // key → element whose Value is *lruEntry[V]
+	evictions uint64                   // entries dropped for capacity since creation
 }
 
 type lruEntry[V any] struct {
@@ -104,6 +105,7 @@ func (l *lru[V]) add(key string, v V) {
 		last := l.order.Back()
 		l.order.Remove(last)
 		delete(l.entries, last.Value.(*lruEntry[V]).key)
+		l.evictions++
 	}
 }
 

@@ -163,8 +163,8 @@ func TestCacheRace(t *testing.T) {
 
 // TestGraphMemoBounded is the key-churn regression for the workload memo:
 // more distinct (workload, procs, iters) keys than its capacity leave it
-// at capacity, and a request whose graph was evicted is re-profiled into
-// the same placement.
+// at capacity, count every eviction in /metrics, and a request whose graph
+// was evicted is re-profiled into the same placement.
 func TestGraphMemoBounded(t *testing.T) {
 	srv := newTestServer(t, Config{CacheSize: 1})
 	h := srv.Handler()
@@ -179,6 +179,13 @@ func TestGraphMemoBounded(t *testing.T) {
 		if n := srv.graphs.order.Len(); n > graphMemoCap {
 			t.Fatalf("memo holds %d graphs after %d keys, capacity %d", n, iters+1, graphMemoCap)
 		}
+		if want := uint64(max(iters+1-graphMemoCap, 0)); srv.graphs.evictions != want {
+			t.Fatalf("%d evictions after %d keys, want %d", srv.graphs.evictions, iters+1, want)
+		}
+	}
+	m := getJSON(t, h, "/metrics", http.StatusOK)
+	if m["graph_memo_entries"] != float64(graphMemoCap) || m["graph_memo_evictions"] != float64(9) {
+		t.Fatalf("/metrics graph memo entries %v, evictions %v; want %d, 9", m["graph_memo_entries"], m["graph_memo_evictions"], graphMemoCap)
 	}
 	if _, ok := srv.graphs.entries[fmt.Sprintf("LU/16/%d", req.iters())]; ok {
 		t.Fatal("the first request's graph survived more than capacity newer keys")

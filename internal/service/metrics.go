@@ -189,6 +189,11 @@ type View struct {
 	CacheEntries  int     `json:"cache_entries"`
 	PoolWorkers   int     `json:"pool_workers,omitempty"`
 	SolverWorkers int     `json:"solver_workers,omitempty"`
+	// GraphMemoEntries and GraphMemoEvictions describe the memo of
+	// profiled workload graphs: its size and how many graphs capacity
+	// pressure has dropped from it.
+	GraphMemoEntries   int    `json:"graph_memo_entries"`
+	GraphMemoEvictions uint64 `json:"graph_memo_evictions"`
 	// RequestLatency digests served requests only; ShedLatency holds the
 	// rejected/timed-out/errored remainder.
 	RequestLatency LatencySummary `json:"request_latency"`

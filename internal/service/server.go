@@ -687,6 +687,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// against the machine (the oversubscription rule in Config).
 	v.PoolWorkers = s.poolWorkers
 	v.SolverWorkers = s.solverWorkers
+	s.graphMu.Lock()
+	v.GraphMemoEntries, v.GraphMemoEvictions = s.graphs.order.Len(), s.graphs.evictions
+	s.graphMu.Unlock()
 	_, age := s.snapshotAge(s.now())
 	v.SnapshotAgeSeconds = age.Seconds()
 	blocks, _ := s.statusBlocks()
