@@ -158,6 +158,10 @@ func TestPlacementGolden(t *testing.T) {
 		)
 	}
 
+	// The flat mapper with its exchange-refinement sweeps, on LU only: each
+	// sweep is quadratic in N.
+	cases = append(cases, goldenCase{"lu64/geo-refined", lu, mapWith(&core.GeoMapper{Seed: 42, Workers: 1, RefinePasses: 50})})
+
 	nq := goldenNonQuiet(t)
 	cases = append(cases, goldenCase{"nonquiet2048/multilevel", nq, mapWith(&core.MultilevelGeoMapper{Seed: 42, Workers: 2})})
 

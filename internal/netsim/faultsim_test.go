@@ -20,42 +20,88 @@ func faultySim(t *testing.T, sched *faults.Schedule) *Simulator {
 	return s
 }
 
-func TestFaultyNilScheduleMatchesPlain(t *testing.T) {
+// TestNilScheduleSpanGolden pins the IEEE-754 bits of the replay span, the
+// one-phase makespan and the multi-tag iteration time on a healthy network,
+// for shared and dedicated WAN pipes. The trace mixes contended cross-site
+// pipes, intra-site pairs and zero-byte messages. Every entry point, plain
+// and fault-aware with a nil schedule, must reproduce the recorded bits, and
+// the fault-aware ones must return an empty report.
+func TestNilScheduleSpanGolden(t *testing.T) {
 	events := []trace.Event{
-		{Src: 0, Dst: 2, Bytes: 10e6},
-		{Src: 2, Dst: 1, Bytes: 5e6},
+		{Src: 0, Dst: 2, Bytes: 12345678, Tag: 0},
+		{Src: 1, Dst: 3, Bytes: 6e6, Tag: 0},
+		{Src: 2, Dst: 1, Bytes: 5e6, Tag: 0},
+		{Src: 1, Dst: 0, Bytes: 0, Tag: 1},
+		{Src: 3, Dst: 0, Bytes: 7e6, Tag: 1},
+		{Src: 0, Dst: 1, Bytes: 3e6, Tag: 2},
+		{Src: 2, Dst: 0, Bytes: 0, Tag: 2},
+		{Src: 0, Dst: 3, Bytes: 4e6, Tag: 2},
+		{Src: 1, Dst: 2, Bytes: 9e6, Tag: 2},
 	}
-	msgs := []Message{{Src: 0, Dst: 2, Bytes: 10e6}, {Src: 1, Dst: 3, Bytes: 10e6}}
-	plain := testSim(t)
-	wantSpan, err := plain.ReplayTrace(events)
-	if err != nil {
-		t.Fatal(err)
+	var msgs []Message
+	for _, phase := range PhasesFromEvents(events) {
+		msgs = append(msgs, phase...)
 	}
-	wantPhase, err := plain.SimulatePhase(msgs)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		dedicated                bool
+		replay, phase, iteration uint64
+	}{
+		{false, 0x4010a884761be60f, 0x4009e065152d8eae, 0x401089cc243060f1},
+		{true, 0x400e1fe202bef721, 0x3ff55a63c3f4b6f7, 0x400913984860c1e2},
 	}
+	for _, tc := range cases {
+		s, err := NewWithOptions(testCloud(), []int{0, 0, 1, 1}, Options{DedicatedWAN: tc.dedicated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, got units.Seconds, want uint64) {
+			t.Helper()
+			if math.Float64bits(got.Float()) != want {
+				t.Errorf("dedicated=%v %s = %v (%#x), golden %v (%#x)", tc.dedicated, what, got, math.Float64bits(got.Float()), math.Float64frombits(want), want)
+			}
+		}
+		checkReport := func(what string, rep *faults.Report) {
+			t.Helper()
+			if !rep.Empty() {
+				t.Errorf("dedicated=%v %s: nil schedule produced non-empty report: %v", tc.dedicated, what, rep)
+			}
+		}
 
-	s := faultySim(t, nil)
-	span, rep, err := s.ReplayTraceFaulty(events, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(span.Float()) != math.Float64bits(wantSpan.Float()) {
-		t.Errorf("faulty replay with nil schedule = %v, plain = %v", span, wantSpan)
-	}
-	if !rep.Empty() {
-		t.Errorf("nil schedule produced non-empty report: %v", rep)
-	}
-	phase, rep, err := s.SimulatePhaseFaulty(msgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(phase.Float()) != math.Float64bits(wantPhase.Float()) {
-		t.Errorf("faulty phase with nil schedule = %v, plain = %v", phase, wantPhase)
-	}
-	if !rep.Empty() {
-		t.Errorf("nil schedule produced non-empty phase report: %v", rep)
+		span, err := s.ReplayTrace(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ReplayTrace", span, tc.replay)
+		span, rep, err := s.ReplayTraceFaulty(events, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ReplayTraceFaulty", span, tc.replay)
+		checkReport("ReplayTraceFaulty", rep)
+
+		mk, err := s.SimulatePhase(msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("SimulatePhase", mk, tc.phase)
+		mk, rep, err = s.SimulatePhaseFaulty(msgs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("SimulatePhaseFaulty", mk, tc.phase)
+		checkReport("SimulatePhaseFaulty", rep)
+
+		it, err := s.SimulateIteration(events, 0.25, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("SimulateIteration", it.CommSeconds, tc.iteration)
+		it, rep, err = s.SimulateIterationFaulty(events, 0.25, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("SimulateIterationFaulty", it.CommSeconds, tc.iteration)
+		checkReport("SimulateIterationFaulty", rep)
 	}
 }
 
