@@ -15,10 +15,12 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (internal/analysis via cmd/geolint), with
-# go vet alongside. Exits non-zero on any finding not suppressed by a
-# justified //geolint:ignore directive; -staleignores also fails on
-# directives that no longer suppress anything.
+# go vet and a gofmt gate alongside. Fails when gofmt -l lists any file;
+# geolint exits non-zero on any finding not suppressed by a justified
+# //geolint:ignore directive, and -staleignores also fails on directives
+# that no longer suppress anything.
 lint: vet
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/geolint -staleignores ./...
 
 test:

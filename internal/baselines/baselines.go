@@ -168,7 +168,7 @@ type MPIPP struct {
 	Seed int64
 	// Restarts is the number of random restarts (default 2).
 	Restarts int
-	// MaxPasses bounds the number of full exchange sweeps per restart
+	// MaxPasses bounds the core.ExchangeRefine sweeps per restart
 	// (default 3, the bounded refinement schedule of the original tool;
 	// raise it for a stronger — and slower — optimizer).
 	MaxPasses int
@@ -201,14 +201,7 @@ func (m *MPIPP) Map(p *core.Problem) (core.Placement, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := cut.Cost(pl)
-		for pass := 0; pass < maxPasses; pass++ {
-			improved := m.bestSwapPass(cut, pl, &cost)
-			if !improved {
-				break
-			}
-		}
-		if cost < bestCost {
+		if cost := core.ExchangeRefine(cut, pl, maxPasses); cost < bestCost {
 			bestCost = cost
 			best = pl.Clone()
 		}
@@ -241,78 +234,6 @@ func uniformCutProblem(p *core.Problem) *core.Problem {
 		Constraint: p.Constraint,
 		Allowed:    p.Allowed,
 	}
-}
-
-// bestSwapPass performs one sweep of first-improvement pairwise exchanges
-// over all unpinned process pairs in different sites. It updates pl and
-// cost in place and reports whether any exchange was applied.
-func (m *MPIPP) bestSwapPass(p *core.Problem, pl core.Placement, cost *units.Cost) bool {
-	n := p.N()
-	improved := false
-	for a := 0; a < n; a++ {
-		if p.Constraint[a] != core.Unconstrained {
-			continue
-		}
-		for b := a + 1; b < n; b++ {
-			if p.Constraint[b] != core.Unconstrained || pl[a] == pl[b] {
-				continue
-			}
-			if !p.AllowedOn(a, pl[b]) || !p.AllowedOn(b, pl[a]) {
-				continue
-			}
-			delta := swapDelta(p, pl, a, b)
-			if delta < units.Cost(-1e-12) {
-				pl[a], pl[b] = pl[b], pl[a]
-				*cost += delta
-				improved = true
-			}
-		}
-	}
-	return improved
-}
-
-// swapDelta returns the cost change of exchanging the sites of processes a
-// and b. Only edges incident to a or b change cost, so the delta is
-// computed locally in O(deg(a)+deg(b)).
-func swapDelta(p *core.Problem, pl core.Placement, a, b int) units.Cost {
-	sa, sb := pl[a], pl[b]
-	var delta units.Cost
-	site := func(j int) int {
-		// Site of j after the hypothetical swap.
-		switch j {
-		case a:
-			return sb
-		case b:
-			return sa
-		default:
-			return pl[j]
-		}
-	}
-	edge := func(i, j int, vol, msgs float64) {
-		oldSi, oldSj := pl[i], pl[j]
-		newSi, newSj := site(i), site(j)
-		delta -= (p.Latency(oldSi, oldSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(oldSi, oldSj))).AsCost()
-		delta += (p.Latency(newSi, newSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(newSi, newSj))).AsCost()
-	}
-	for _, e := range p.Comm.Outgoing(a) {
-		edge(a, e.Peer, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Incoming(a) {
-		edge(e.Peer, a, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Outgoing(b) {
-		if e.Peer == a {
-			continue // already counted from a's side
-		}
-		edge(b, e.Peer, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Incoming(b) {
-		if e.Peer == a {
-			continue
-		}
-		edge(e.Peer, b, e.Volume, e.Msgs)
-	}
-	return delta
 }
 
 // MonteCarlo samples K random feasible placements and keeps the best. Its

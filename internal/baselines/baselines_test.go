@@ -184,30 +184,6 @@ func TestMPIPPCutObjectiveIgnoresHeterogeneity(t *testing.T) {
 	}
 }
 
-func TestSwapDeltaMatchesFullRecomputation(t *testing.T) {
-	p := lineProblem(14, 4, 6)
-	rng := stats.NewRand(3)
-	pl, err := core.RandomPlacement(p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < p.N(); a++ {
-		for b := a + 1; b < p.N(); b++ {
-			if pl[a] == pl[b] {
-				continue
-			}
-			want := func() float64 {
-				sw := pl.Clone()
-				sw[a], sw[b] = sw[b], sw[a]
-				return (p.Cost(sw) - p.Cost(pl)).Float()
-			}()
-			if got := swapDelta(p, pl, a, b); math.Abs(got.Float()-want) > 1e-9 {
-				t.Fatalf("swapDelta(%d,%d) = %v, full recomputation %v", a, b, got, want)
-			}
-		}
-	}
-}
-
 func TestMonteCarloSampleAndBestOfK(t *testing.T) {
 	p := lineProblem(12, 3, 7)
 	mc := &MonteCarlo{Seed: 4}

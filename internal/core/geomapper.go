@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/multilevel"
 	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
@@ -33,9 +34,6 @@ type GeoMapper struct {
 	Kappa int
 	// Seed drives the K-means initialization.
 	Seed int64
-	// MaxOrders, when positive, caps the number of group orders examined.
-	// Zero examines all κ! orders, as in the paper.
-	MaxOrders int
 	// DisableGrouping skips the K-means step and treats every site as its
 	// own group (used by the ablation study). The order search then
 	// enumerates M! site orders, so it is only usable for small M.
@@ -43,11 +41,11 @@ type GeoMapper struct {
 	// SingleOrder, when true, evaluates only the identity group order
 	// instead of searching all κ! orders (used by the ablation study).
 	SingleOrder bool
-	// RefinePasses, when positive, polishes the best placement with that
-	// many sweeps of first-improvement pairwise exchanges on the true
-	// cost function. This is an extension beyond the paper's Algorithm 1
-	// (which returns the packing result directly); each sweep is O(N²·deg)
-	// so it trades overhead for solution quality, quantified by
+	// RefinePasses, when positive, polishes the best placement with up to
+	// that many ExchangeRefine sweeps on the true cost function. This is
+	// an extension beyond the paper's Algorithm 1 (which returns the
+	// packing result directly); each sweep is O(N²·deg) so it trades
+	// overhead for solution quality, quantified by
 	// BenchmarkAblationRefinement.
 	RefinePasses int
 	// Workers is the number of goroutines evaluating group orders. The κ!
@@ -66,7 +64,7 @@ const MaxKappa = 8
 func (g *GeoMapper) Name() string { return "Geo-distributed" }
 
 // Map implements Mapper. It returns the best placement found across all
-// examined group orders. The result is byte-identical for identical
+// κ! group orders. The result is byte-identical for identical
 // problems at any worker count — the contract TestSeedDeterminism and the
 // serve-smoke digest gate enforce.
 //
@@ -102,48 +100,26 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 		}
 	}
 
-	best, bestCost, err := g.searchOrders(p, groups)
+	best, err := g.searchOrders(p, groups)
 	if err != nil {
 		return nil, err
 	}
-	for pass := 0; pass < g.RefinePasses; pass++ {
-		if !refinePass(p, best, &bestCost) {
-			break
-		}
-		// refinePass maintains the cost incrementally; FP drift compounds
-		// across sweeps, so re-sync against the true objective before the
-		// next sweep's improvement comparisons (and before anything
-		// downstream trusts bestCost).
-		bestCost = p.Cost(best)
+	if g.RefinePasses > 0 {
+		ExchangeRefine(p, best, g.RefinePasses)
 	}
 	return best, nil
 }
 
-// repairPlacement relocates stranded processes of a site-set placement; a
-// package variable so the MaxOrders-starvation regression test can inject
-// repair failures (on validated problems the augmenting-path repair itself
-// cannot fail, but the budget accounting must not assume that).
-var repairPlacement = RepairLeftovers
-
 // searchOrders runs the κ! group-order search and returns the best
-// feasible placement with its cost. The search space is the lexicographic
-// rank order of group permutations; the winner is the minimum-cost
-// placement with ties broken by lowest rank, so every worker count —
-// including the serial path — selects the same order, byte for byte.
-func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.Cost, error) {
-	if g.SingleOrder {
-		perm := make([]int, len(groups))
-		for i := range perm {
-			perm[i] = i
-		}
-		res := newOrderSearch(p, groups, g.MaxOrders).run(perm, 0)
-		if res.best == nil {
-			return nil, 0, fmt.Errorf("core: no placement produced")
-		}
-		return res.best, res.bestCost, nil
-	}
-
+// feasible placement. The search space is the lexicographic rank order of
+// group permutations; the winner is the minimum-cost placement with ties
+// broken by lowest rank, so every worker count — including the serial
+// path — selects the same order, byte for byte.
+func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, error) {
 	total := stats.FactorialInt(len(groups))
+	if g.SingleOrder {
+		total = 1 // rank 0 is the identity order
+	}
 	workers := g.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the rank-range reduction makes the result identical at any count
@@ -154,11 +130,7 @@ func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.C
 	if workers == 1 {
 		// Serial path: one range covering the whole rank space, evaluated
 		// on the calling goroutine exactly as the pre-parallel code did.
-		res := newOrderSearch(p, groups, g.MaxOrders).runRange(0, total)
-		if res.best == nil {
-			return nil, 0, fmt.Errorf("core: no placement produced")
-		}
-		return res.best, res.bestCost, nil
+		return newOrderSearch(p, groups).runRange(0, total).placement()
 	}
 
 	// Split [0, κ!) into contiguous rank ranges, one per worker. Each
@@ -172,90 +144,41 @@ func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.C
 			defer wg.Done()
 			lo := w * total / workers
 			hi := (w + 1) * total / workers
-			results[w] = newOrderSearch(p, groups, g.MaxOrders).runRange(lo, hi)
+			results[w] = newOrderSearch(p, groups).runRange(lo, hi)
 		}(w)
 	}
 	wg.Wait()
 
-	if g.MaxOrders > 0 {
-		return g.reduceCapped(p, groups, results)
-	}
 	// Deterministic reduction: minimum cost; on an exact cost tie the
 	// lowest rank wins, matching the serial loop's keep-first behavior.
-	bestIdx := -1
-	for w := range results {
-		r := &results[w]
+	var best rangeResult
+	for _, r := range results {
 		if r.best == nil {
 			continue
 		}
-		if bestIdx < 0 || r.bestCost < results[bestIdx].bestCost ||
-			(r.bestCost == results[bestIdx].bestCost && r.bestRank < results[bestIdx].bestRank) { //geolint:ignore floatcmp exact tie-break: equal costs must fall through to the rank comparison or the winner would depend on worker scheduling
-			bestIdx = w
+		if best.best == nil || r.bestCost < best.bestCost ||
+			(r.bestCost == best.bestCost && r.bestRank < best.bestRank) { //geolint:ignore floatcmp exact tie-break: equal costs must fall through to the rank comparison or the winner would depend on worker scheduling
+			best = r
 		}
 	}
-	if bestIdx < 0 {
-		return nil, 0, fmt.Errorf("core: no placement produced")
-	}
-	return results[bestIdx].best, results[bestIdx].bestCost, nil
-}
-
-// reduceCapped merges per-range results under a MaxOrders budget. The
-// budget counts feasible orders in ascending rank order, so the counted
-// set is the global first-MaxOrders feasible ranks — each worker recorded
-// (rank, cost) for at most MaxOrders feasible orders of its own range,
-// which is guaranteed to cover that prefix. The winning order is then
-// re-evaluated for its placement: a worker's retained best placement may
-// belong to a rank beyond the global budget.
-func (g *GeoMapper) reduceCapped(p *Problem, groups [][]int, results []rangeResult) (Placement, units.Cost, error) {
-	counted := 0
-	bestRank := -1
-	bestCost := units.Cost(math.Inf(1))
-	for w := range results {
-		for _, fc := range results[w].feasible {
-			if counted == g.MaxOrders {
-				break
-			}
-			counted++
-			if fc.cost < bestCost {
-				bestCost = fc.cost
-				bestRank = fc.rank
-			}
-		}
-		if counted == g.MaxOrders {
-			break
-		}
-	}
-	if bestRank < 0 {
-		return nil, 0, fmt.Errorf("core: no placement produced")
-	}
-	for w := range results {
-		if results[w].best != nil && results[w].bestRank == bestRank {
-			return results[w].best, results[w].bestCost, nil
-		}
-	}
-	res := newOrderSearch(p, groups, 0).run(stats.PermutationUnrank(len(groups), bestRank), bestRank)
-	if res.best == nil {
-		// The winning rank was feasible when first evaluated; the search is
-		// deterministic, so it cannot become infeasible on re-evaluation.
-		return nil, 0, fmt.Errorf("core: order %d infeasible on re-evaluation", bestRank)
-	}
-	return res.best, res.bestCost, nil
-}
-
-// rankCost records one feasible order's objective for the capped reduction.
-type rankCost struct {
-	rank int
-	cost units.Cost
+	return best.placement()
 }
 
 // rangeResult summarizes one contiguous rank range: the best feasible
-// placement found (nil when the range produced none) and, under a
-// MaxOrders budget, the first feasible (rank, cost) pairs.
+// placement found (nil when the range produced none), its cost and rank.
 type rangeResult struct {
 	best     Placement
 	bestCost units.Cost
 	bestRank int
-	feasible []rankCost
+}
+
+// placement returns the range's winner, or an error when no order in it
+// was feasible.
+func (r rangeResult) placement() (Placement, error) {
+	if r.best == nil {
+		return nil, fmt.Errorf("core: no placement produced")
+	}
+	return r.best, nil
 }
 
 // orderSearch evaluates group orders on one goroutine with a private
@@ -263,41 +186,30 @@ type rangeResult struct {
 type orderSearch struct {
 	p       *Problem
 	groups  [][]int
-	cap     int // MaxOrders budget of feasible orders; 0 = unbounded
 	h       *heuristicState
 	ordered [][]int
 	res     rangeResult
 }
 
-func newOrderSearch(p *Problem, groups [][]int, maxOrders int) *orderSearch {
+func newOrderSearch(p *Problem, groups [][]int) *orderSearch {
 	return &orderSearch{
 		p:       p,
 		groups:  groups,
-		cap:     maxOrders,
 		h:       newHeuristicState(p),
 		ordered: make([][]int, len(groups)),
 		res:     rangeResult{bestCost: units.Cost(math.Inf(1)), bestRank: -1},
 	}
 }
 
-// runRange evaluates every order with rank in [lo, hi), stopping early
-// once the budget of feasible orders is exhausted.
+// runRange evaluates every order with rank in [lo, hi).
 func (s *orderSearch) runRange(lo, hi int) rangeResult {
 	stats.PermutationRange(len(s.groups), lo, hi, s.tryOrder)
 	return s.res
 }
 
-// run evaluates the single given order.
-func (s *orderSearch) run(perm []int, rank int) rangeResult {
-	s.tryOrder(rank, perm)
-	return s.res
-}
-
 // tryOrder is the per-order body of Algorithm 1's outer loop: greedy fill,
 // site-set repair, cost comparison. Orders whose repair fails are
-// infeasible and do not consume the MaxOrders budget — a constrained
-// problem with a small cap must not starve on infeasible orders while
-// uncounted later orders would succeed.
+// infeasible and skipped. It always asks PermutationRange to continue.
 func (s *orderSearch) tryOrder(rank int, perm []int) bool {
 	for i, gi := range perm {
 		s.ordered[i] = s.groups[gi]
@@ -306,26 +218,40 @@ func (s *orderSearch) tryOrder(rank int, perm []int) bool {
 	if s.p.HasSiteSets() {
 		// Multi-site restrictions can strand processes the greedy
 		// packing could not fit; relocate via augmenting paths.
-		if err := repairPlacement(s.p, pl); err != nil {
+		if err := RepairLeftovers(s.p, pl); err != nil {
 			return true
 		}
 	}
-	c := s.p.Cost(pl)
-	if s.cap > 0 {
-		s.res.feasible = append(s.res.feasible, rankCost{rank: rank, cost: c})
-	}
-	if c < s.res.bestCost {
+	if c := s.p.Cost(pl); c < s.res.bestCost {
 		s.res.bestCost = c
 		s.res.bestRank = rank
 		s.res.best = append(s.res.best[:0], pl...)
 	}
-	return s.cap <= 0 || len(s.res.feasible) < s.cap
+	return true
+}
+
+// ExchangeRefine polishes pl in place with up to passes sweeps of
+// first-improvement pairwise exchanges of unpinned, mutually-admissible
+// processes, stopping early after a sweep that applies nothing, and
+// returns the cost of the result. Each sweep carries the cost
+// incrementally; FP drift compounds across sweeps, so the cost is re-synced
+// with Problem.Cost after every improving sweep, before the next sweep's
+// improvement comparisons and before the caller trusts it.
+func ExchangeRefine(p *Problem, pl Placement, passes int) units.Cost {
+	cost := p.Cost(pl)
+	for pass := 0; pass < passes; pass++ {
+		if !refinePass(p, pl, &cost) {
+			break
+		}
+		cost = p.Cost(pl)
+	}
+	return cost
 }
 
 // refinePass applies one sweep of first-improvement pairwise exchanges of
-// unpinned, mutually-admissible processes, updating pl and cost in place.
-// The incremental cost drifts from the true objective as swaps accumulate;
-// callers running multiple passes must re-sync it via Problem.Cost.
+// unpinned, mutually-admissible processes, updating pl and cost in place,
+// and reports whether any exchange was applied. An exchange must improve
+// the cost by more than multilevel.RefineTol of the current cost.
 //
 //geolint:allocfree
 func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
@@ -343,7 +269,7 @@ func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
 				continue
 			}
 			delta := exchangeDelta(p, pl, a, b)
-			if delta < -refineTol(*cost) {
+			if delta < -multilevel.RefineTol(*cost) {
 				pl[a], pl[b] = pl[b], pl[a]
 				*cost += delta
 				improved = true
@@ -351,20 +277,6 @@ func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
 		}
 	}
 	return improved
-}
-
-// refineTol is the minimum improvement a refinement exchange must deliver,
-// relative to the current objective: an absolute threshold is vacuous
-// against costs orders of magnitude above 1 (every FP-noise "improvement"
-// passes, and the pass loop can churn without converging) and needlessly
-// strict near zero. The floor of 1 keeps the threshold meaningful for
-// near-zero objectives.
-func refineTol(c units.Cost) units.Cost {
-	m := math.Abs(c.Float())
-	if m < 1 {
-		m = 1
-	}
-	return units.Cost(m).Scale(1e-12)
 }
 
 // exchangeDelta is the cost change of swapping the sites of processes a
@@ -429,12 +341,12 @@ type heuristicState struct {
 
 func newHeuristicState(p *Problem) *heuristicState {
 	n := p.N()
-	refLat, refBW := p.referenceWeights()
+	refLat, refBW := multilevel.ReferenceWeights(p.LT, p.BT)
 	h := &heuristicState{
-		p:        p,
-		quantity: make([]units.Cost, n),
-		refLat:   refLat,
-		refBW:    refBW,
+		p:         p,
+		quantity:  make([]units.Cost, n),
+		refLat:    refLat,
+		refBW:     refBW,
 		selected:  make([]bool, n),
 		affinity:  make([]units.Cost, n),
 		avail:     make(mat.IntVec, p.M()),

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -47,8 +46,6 @@ func TestOrderSearchSerialParallelEquivalence(t *testing.T) {
 		}, GeoMapper{Kappa: 4}},
 		{"sitesets-k4", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4}},
 		{"ungrouped-m6", func(s int64) *Problem { return clusteredProblem(24, 6, s) }, GeoMapper{Kappa: 6, DisableGrouping: true}},
-		{"maxorders-k5", func(s int64) *Problem { return clusteredProblem(30, 6, s) }, GeoMapper{Kappa: 5, MaxOrders: 7}},
-		{"sitesets-maxorders", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4, MaxOrders: 3}},
 		{"refined-k4", func(s int64) *Problem { return clusteredProblem(24, 4, s) }, GeoMapper{Kappa: 4, RefinePasses: 5}},
 	}
 	workerCounts := []int{2, 3, 8, runtime.GOMAXPROCS(0)}
@@ -104,53 +101,6 @@ func TestHierarchicalWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestGeoMapperMaxOrdersSkipsInfeasibleOrders is the starvation
-// regression: an order whose repair fails must not consume the MaxOrders
-// budget. The augmenting-path repair cannot fail on validated problems, so
-// failures are injected through the repairPlacement seam: with the first
-// three orders forced infeasible and a budget of one, the search must
-// still reach the first feasible order instead of returning
-// "no placement produced".
-func TestGeoMapperMaxOrdersSkipsInfeasibleOrders(t *testing.T) {
-	p := siteSetProblem(16, 4, 2)
-	orig := repairPlacement
-	defer func() { repairPlacement = orig }()
-
-	calls := 0
-	repairPlacement = func(p *Problem, pl Placement) error {
-		calls++
-		if calls <= 3 {
-			return fmt.Errorf("injected repair failure %d", calls)
-		}
-		return orig(p, pl)
-	}
-	gm := &GeoMapper{Kappa: 4, Seed: 2, MaxOrders: 1, Workers: 1}
-	pl, err := gm.Map(p)
-	if err != nil {
-		t.Fatalf("budget starved on infeasible orders: %v", err)
-	}
-	if err := p.CheckPlacement(pl); err != nil {
-		t.Fatal(err)
-	}
-	if calls < 4 {
-		t.Errorf("search stopped after %d orders; infeasible orders consumed the budget", calls)
-	}
-
-	// The budget still bounds feasible work: with every order feasible, a
-	// cap of one examines exactly one order.
-	calls = 0
-	repairPlacement = func(p *Problem, pl Placement) error {
-		calls++
-		return orig(p, pl)
-	}
-	if _, err := gm.Map(p); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("MaxOrders=1 examined %d feasible orders, want 1", calls)
-	}
-}
-
 // TestGeoMapperWorkersInvalidAndDefault covers the Workers knob's edge
 // values: negative and zero both resolve to a usable worker count.
 func TestGeoMapperWorkersInvalidAndDefault(t *testing.T) {
@@ -191,7 +141,7 @@ func TestFillDoesNotAllocatePerOrder(t *testing.T) {
 }
 
 // TestRefinementCostResync is the cost-drift regression: the cost the
-// refinement loop carries must match the true objective of the returned
+// refinement loop returns must match the true objective of the refined
 // placement (the incremental deltas alone drift across passes).
 func TestRefinementCostResync(t *testing.T) {
 	p := clusteredProblem(40, 4, 21)
@@ -200,23 +150,17 @@ func TestRefinementCostResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct the search-phase winner and drive the refinement loop
-	// the way Map does, checking the carried cost against the truth after
-	// every pass.
+	// Reconstruct the search-phase winner and refine it with the shared
+	// sweep loop: the cost it returns must be the true objective of the
+	// placement it leaves, and the placement must be Map's.
 	search := &GeoMapper{Kappa: 4, Seed: 21, Workers: 1}
 	base, err := search.Map(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := p.Cost(base)
-	for pass := 0; pass < 50; pass++ {
-		if !refinePass(p, base, &cost) {
-			break
-		}
-		cost = p.Cost(base)
-		if got := p.Cost(base); math.Float64bits(cost.Float()) != math.Float64bits(got.Float()) {
-			t.Fatalf("pass %d: carried cost %v != true cost %v", pass, cost, got)
-		}
+	cost := ExchangeRefine(p, base, 50)
+	if got := p.Cost(base); math.Float64bits(cost.Float()) != math.Float64bits(got.Float()) {
+		t.Fatalf("returned cost %v != true cost %v", cost, got)
 	}
 	if !base.Equal(pl) {
 		t.Errorf("reconstructed refinement differs from Map's result")

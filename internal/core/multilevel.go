@@ -30,12 +30,6 @@ type MultilevelGeoMapper struct {
 	// Workers is the refinement (and proposal-phase) parallelism. Zero
 	// selects GOMAXPROCS; any value yields byte-identical placements.
 	Workers int
-	// RefinePasses bounds the local-search sweeps per level (0 = default).
-	RefinePasses int
-	// CoarsestVertices is the coarsening target (0 = default: max(32, 4·M)).
-	CoarsestVertices int
-	// MaxOrders caps the coarsest-level order enumeration (0 = default 720).
-	MaxOrders int
 }
 
 // Name implements Mapper.
@@ -74,12 +68,7 @@ func (m *MultilevelGeoMapper) Map(p *Problem) (Placement, error) {
 		Allowed:  p.Allowed,
 		Groups:   groups,
 	}
-	opt := multilevel.Options{
-		Workers:          m.Workers,
-		RefinePasses:     m.RefinePasses,
-		CoarsestVertices: m.CoarsestVertices,
-		MaxOrders:        m.MaxOrders,
-	}
+	opt := multilevel.Options{Workers: m.Workers}
 	pl, _, err := multilevel.Solve(inst, opt)
 	if errors.Is(err, multilevel.ErrInfeasible) {
 		// Degenerate packings (tight capacities under multi-site
@@ -108,7 +97,7 @@ func (m *MultilevelGeoMapper) repairFallback(p *Problem, inst *multilevel.Instan
 			pl[i] = c
 		}
 	}
-	if err := repairPlacement(p, pl); err != nil {
+	if err := RepairLeftovers(p, pl); err != nil {
 		return nil, err
 	}
 	if err := multilevel.Refine(inst, pl, opt); err != nil {

@@ -7,6 +7,7 @@ import (
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/multilevel"
 )
 
 // twoSiteProblem builds a tiny hand-checkable instance: 4 processes, 2
@@ -142,9 +143,9 @@ func TestReferenceWeightsSingleSite(t *testing.T) {
 		Capacity:   mat.IntVec{2},
 		Constraint: mat.NewIntVec(2, Unconstrained),
 	}
-	lat, bw := p.referenceWeights()
+	lat, bw := multilevel.ReferenceWeights(p.LT, p.BT)
 	if lat != 0.5 || bw != 2e6 {
-		t.Errorf("referenceWeights = %v, %v; want intra values", lat, bw)
+		t.Errorf("ReferenceWeights = %v, %v; want intra values", lat, bw)
 	}
 }
 

@@ -28,7 +28,7 @@ func benchRefiner(b *testing.B, striped bool) (*refiner, []int, units.Cost) {
 	for v, s := range pl {
 		r.load[s] += in.G.Weight(v)
 	}
-	tol := refineTol(in.Cost(pl))
+	tol := RefineTol(in.Cost(pl))
 	r.proposeRange(pl, 0, in.G.N(), tol, &r.scans[0])
 	return r, pl, tol
 }

@@ -23,7 +23,7 @@ type hierarchy []*level
 
 // coarsen builds the hierarchy: heavy-edge matching with deterministic
 // tie-breaking on vertex id, contracting until the graph has at most
-// target vertices, matching stalls, or the level cap is reached.
+// target vertices, matching stalls, or maxLevels levels exist.
 //
 // Matching rule: vertices are visited in ascending id order; an unmatched
 // vertex u pairs with the unmatched, constraint-compatible neighbor v
@@ -33,13 +33,13 @@ type hierarchy []*level
 // intersection of allowed-site sets, and a merged weight within maxW and
 // the capacity of some admissible site — so contraction can never
 // manufacture an unplaceable super-vertex out of placeable parts.
-func coarsen(in *Instance, target, maxW, maxLevels int) hierarchy {
+func coarsen(in *Instance, target, maxW int) hierarchy {
 	l0 := &level{
 		g:       in.G,
 		pin:     in.Pin,
 		allowed: normalizeAllowed(in.Allowed, in.G.n),
 	}
-	refLat, refBW := in.refWeights()
+	refLat, refBW := ReferenceWeights(in.LT, in.BT)
 	maxCap := 0
 	for _, c := range in.Capacity {
 		if c > maxCap {

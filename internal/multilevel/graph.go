@@ -166,11 +166,13 @@ func (in *Instance) cost(g *Graph, pl []int) units.Cost {
 // an Instance but not a core.Problem).
 func (in *Instance) Cost(pl []int) units.Cost { return in.cost(in.G, pl) }
 
-// refWeights returns the mean inter-site latency and bandwidth (intra-site
-// for M = 1), mirroring core.Problem.referenceWeights: the scalarization
-// that makes a (volume, msgs) pair commensurate with the cost model.
-func (in *Instance) refWeights() (units.Seconds, units.BytesPerSec) {
-	m := in.M()
+// ReferenceWeights returns the mean inter-site latency and bandwidth of
+// the M×M matrices lt and bt (the intra-site values for M = 1): the
+// scalarization that makes a (volume, msgs) pair commensurate with the
+// cost model, shared by every greedy fill and by the coarsening's
+// heavy-edge matching.
+func ReferenceWeights(lt, bt *mat.Matrix) (units.Seconds, units.BytesPerSec) {
+	m := lt.Rows()
 	var latSum, bwSum float64
 	pairs := 0
 	for k := 0; k < m; k++ {
@@ -178,13 +180,13 @@ func (in *Instance) refWeights() (units.Seconds, units.BytesPerSec) {
 			if k == l {
 				continue
 			}
-			latSum += in.LT.At(k, l)
-			bwSum += in.BT.At(k, l)
+			latSum += lt.At(k, l)
+			bwSum += bt.At(k, l)
 			pairs++
 		}
 	}
 	if pairs == 0 {
-		return units.Seconds(in.LT.At(0, 0)), units.BytesPerSec(in.BT.At(0, 0))
+		return units.Seconds(lt.At(0, 0)), units.BytesPerSec(bt.At(0, 0))
 	}
 	return units.Seconds(latSum / float64(pairs)), units.BytesPerSec(bwSum / float64(pairs))
 }

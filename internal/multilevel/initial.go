@@ -36,10 +36,9 @@ type initialMapper struct {
 	bestCost units.Cost
 	found    bool
 	examined int
-	cap      int
 }
 
-func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
+func newInitialMapper(in *Instance, lv *level) *initialMapper {
 	g := lv.g
 	n := g.n
 	im := &initialMapper{
@@ -55,9 +54,8 @@ func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
 		byWeight:  make([]int, n),
 		ordered:   make([][]int, len(in.Groups)),
 		bestCost:  units.Cost(math.Inf(1)),
-		cap:       maxOrders,
 	}
-	im.refLat, im.refBW = in.refWeights()
+	im.refLat, im.refBW = ReferenceWeights(in.LT, in.BT)
 	for v := 0; v < n; v++ {
 		var q units.Cost
 		for _, e := range g.out.Row(v) {
@@ -101,7 +99,7 @@ func (im *initialMapper) run() ([]int, error) {
 			}
 		}
 		im.examined++
-		return im.cap <= 0 || im.examined < im.cap
+		return im.examined < maxOrders
 	})
 	if !im.found {
 		return nil, errInitialInfeasible

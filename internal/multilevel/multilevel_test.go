@@ -102,8 +102,8 @@ func TestFromCommPreservesTotals(t *testing.T) {
 
 // hierarchyFor exposes the coarsening ladder the solver would build.
 func hierarchyFor(in *Instance, n, m int) hierarchy {
-	opt := Options{}.withDefaults(n, m)
-	return coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
+	target, maxWeight := coarseningTarget(n, m)
+	return coarsen(in, target, maxWeight)
 }
 
 func TestCoarsenConservesVolume(t *testing.T) {
@@ -129,8 +129,8 @@ func TestCoarsenConservesVolume(t *testing.T) {
 func TestCoarsenRespectsConstraints(t *testing.T) {
 	n, m := 512, 8
 	in := testInstance(t, n, m, true, true)
-	opt := Options{}.withDefaults(n, m)
-	h := coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
+	target, maxWeight := coarseningTarget(n, m)
+	h := coarsen(in, target, maxWeight)
 	for l := 0; l+1 < len(h); l++ {
 		fine, coarse := h[l], h[l+1]
 		for v := 0; v < fine.g.n; v++ {
@@ -147,8 +147,8 @@ func TestCoarsenRespectsConstraints(t *testing.T) {
 			}
 		}
 		for c := 0; c < coarse.g.n; c++ {
-			if coarse.g.weight[c] > opt.MaxWeight && coarse.g.weight[c] > 2 {
-				t.Fatalf("level %d coarse vertex %d weight %d exceeds max %d", l+1, c, coarse.g.weight[c], opt.MaxWeight)
+			if coarse.g.weight[c] > maxWeight && coarse.g.weight[c] > 2 {
+				t.Fatalf("level %d coarse vertex %d weight %d exceeds max %d", l+1, c, coarse.g.weight[c], maxWeight)
 			}
 			if p := coarse.pin[c]; p >= 0 && coarse.g.weight[c] > in.Capacity[p] {
 				t.Fatalf("pinned coarse vertex %d weight %d exceeds capacity of site %d", c, coarse.g.weight[c], p)
@@ -194,7 +194,7 @@ func TestProjectionNeverViolatesConstraints(t *testing.T) {
 	var pl []int
 	for {
 		var err error
-		pl, err = newInitialMapper(in, h[li], 720).run()
+		pl, err = newInitialMapper(in, h[li]).run()
 		if err == nil {
 			break
 		}
@@ -325,7 +325,7 @@ func TestProposeRangeDoesNotAllocate(t *testing.T) {
 	for v, s := range pl {
 		r.load[s] += in.G.Weight(v)
 	}
-	tol := refineTol(in.Cost(pl))
+	tol := RefineTol(in.Cost(pl))
 	// Grow the buffer to its high-water mark before measuring.
 	r.proposeRange(pl, 0, in.G.N(), tol, &r.scans[0])
 	allocs := testing.AllocsPerRun(50, func() {

@@ -230,9 +230,9 @@ func TestProposeMatchesReference(t *testing.T) {
 				}
 				// A placement using the NaN pair has a NaN cost, whose
 				// tolerance would reject every step; take the floor.
-				tol := refineTol(sh.in.cost(lc.lv.g, pl))
+				tol := RefineTol(sh.in.cost(lc.lv.g, pl))
 				if math.IsNaN(tol.Float()) {
-					tol = refineTol(units.Cost(1))
+					tol = RefineTol(units.Cost(1))
 				}
 				var want []proposal
 				for _, workers := range []int{1, 4} {

@@ -6,54 +6,44 @@ import (
 	"runtime"
 )
 
-// Options tunes the multilevel solver. The zero value selects defaults
-// sized for the paper's workloads.
+// Options tunes the multilevel solver.
 type Options struct {
-	// CoarsestVertices is the coarsening target: contraction stops once
-	// the graph has at most this many super-vertices. Zero selects
-	// max(32, 4·M) — a few super-vertices per site, so the coarsest-level
-	// order search stays quadratic in a small constant.
-	CoarsestVertices int
-	// MaxWeight caps a super-vertex's process count. Zero selects
-	// ceil(N / CoarsestVertices), clamped to the largest site capacity.
-	MaxWeight int
-	// RefinePasses bounds the proposal/commit sweeps per level (early exit
-	// when a sweep applies nothing). Zero selects 3.
-	RefinePasses int
-	// MaxOrders caps the coarsest-level group-order enumeration. Zero
-	// selects 720 (6! — every order for κ ≤ 6, a lexicographic prefix
-	// beyond).
-	MaxOrders int
-	// MaxLevels bounds the hierarchy depth. Zero selects 40.
-	MaxLevels int
 	// Workers is the refinement parallelism. Zero selects GOMAXPROCS;
 	// any value yields byte-identical placements.
 	Workers int
 }
 
-func (o Options) withDefaults(n, m int) Options {
-	if o.CoarsestVertices <= 0 {
-		o.CoarsestVertices = 4 * m
-		if o.CoarsestVertices < 32 {
-			o.CoarsestVertices = 32
-		}
-	}
-	if o.MaxWeight <= 0 {
-		o.MaxWeight = (n + o.CoarsestVertices - 1) / o.CoarsestVertices
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 3
-	}
-	if o.MaxOrders <= 0 {
-		o.MaxOrders = 720
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 40
-	}
+// workers resolves the Workers default.
+func (o Options) workers() int {
 	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the proposal/commit reduction makes the result identical at any count
+		return runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the proposal/commit reduction makes the result identical at any count
 	}
-	return o
+	return o.Workers
+}
+
+const (
+	// refinePasses bounds the proposal/commit sweeps per level (early exit
+	// when a sweep applies nothing).
+	refinePasses = 3
+	// maxOrders caps the coarsest-level group-order enumeration: 6!, every
+	// order for κ ≤ 6 and a lexicographic prefix beyond.
+	maxOrders = 720
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 40
+)
+
+// coarseningTarget returns the coarsening target for n processes on m
+// sites — contraction stops once the graph has at most target
+// super-vertices, max(32, 4·m): a few per site, so the coarsest-level order
+// search stays quadratic in a small constant — and the super-vertex weight
+// cap ⌈n/target⌉, which coarsen further clamps to the largest site
+// capacity.
+func coarseningTarget(n, m int) (target, maxWeight int) {
+	target = 4 * m
+	if target < 32 {
+		target = 32
+	}
+	return target, (n + target - 1) / target
 }
 
 // Stats reports what the solver did — level counts for the experiment
@@ -80,10 +70,8 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	if err := validate(in); err != nil {
 		return nil, st, err
 	}
-	n, m := in.G.n, in.M()
-	opt = opt.withDefaults(n, m)
-
-	h := coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
+	target, maxWeight := coarseningTarget(in.G.n, in.M())
+	h := coarsen(in, target, maxWeight)
 	st.Levels = len(h)
 	st.CoarsestN = h[len(h)-1].g.n
 
@@ -95,7 +83,7 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	var pl []int
 	for {
 		var err error
-		pl, err = newInitialMapper(in, h[li], opt.MaxOrders).run()
+		pl, err = newInitialMapper(in, h[li]).run()
 		if err == nil {
 			break
 		}
@@ -106,7 +94,7 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	}
 	st.InitialLevel = li
 
-	r := newRefiner(in, opt.Workers, opt.RefinePasses)
+	r := newRefiner(in, opt.workers(), refinePasses)
 	for l := li; ; l-- {
 		r.attach(h[l])
 		r.refine(pl)
@@ -131,13 +119,12 @@ func Refine(in *Instance, pl []int, opt Options) error {
 	if len(pl) != in.G.n {
 		return fmt.Errorf("multilevel: placement has length %d, want %d", len(pl), in.G.n)
 	}
-	opt = opt.withDefaults(in.G.n, in.M())
 	lv := &level{
 		g:       in.G,
 		pin:     in.Pin,
 		allowed: normalizeAllowed(in.Allowed, in.G.n),
 	}
-	r := newRefiner(in, opt.Workers, opt.RefinePasses)
+	r := newRefiner(in, opt.workers(), refinePasses)
 	r.attach(lv)
 	r.refine(pl)
 	return nil

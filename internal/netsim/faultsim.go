@@ -9,9 +9,10 @@ import (
 	"geoprocmap/internal/units"
 )
 
-// This file is the simulator's fault-aware mode: the same two engines as
-// netsim.go/replay.go, but consulting the Options.Faults schedule and
-// returning a structured faults.Report instead of an optimistic time.
+// This file holds the trace-replay and fluid-phase engines. Both consult
+// the Options.Faults schedule and return a structured faults.Report; the
+// plain entry points (ReplayTrace, SimulatePhase) call them at schedule
+// time zero and drop the report.
 //
 // Semantics shared by both engines:
 //
@@ -27,9 +28,9 @@ import (
 //     index, so a shared Simulator stays data-race-free and two runs with
 //     the same seed and schedule produce bit-identical results.
 //
-// All methods are read-only on the Simulator (safe for concurrent use) and
-// work — returning healthy-network results and an empty report — when no
-// schedule is configured.
+// All methods are read-only on the Simulator (safe for concurrent use).
+// With no schedule configured every link is up at full rate and latency,
+// so they return healthy-network results and an empty report.
 
 // ReplayTraceFaulty replays the event stream under the fault schedule,
 // starting at absolute schedule time `start`. It returns the communication

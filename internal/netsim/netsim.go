@@ -55,11 +55,11 @@ type Options struct {
 	// The default (false) models each ordered site pair as one shared WAN
 	// pipe — more pessimistic and closer to real cross-region behavior.
 	DedicatedWAN bool
-	// Faults attaches a fault schedule. When non-nil, SimulatePhase and
-	// ReplayTrace consult the schedule (outages block senders until a
-	// deadline, degradations scale rates, losses force retransmissions)
-	// and the *Faulty variants additionally return a structured
-	// faults.Report. nil simulates a healthy network.
+	// Faults attaches a fault schedule, which every engine entry point
+	// consults (outages block senders until a deadline, degradations scale
+	// rates, losses force retransmissions); the *Faulty variants also
+	// return a structured faults.Report. nil simulates a healthy network
+	// with the same engines, which then report nothing.
 	Faults *faults.Schedule
 	// FaultDeadline is how long a sender blocks on a dead link before
 	// abandoning the message (default 10 simulated seconds).
@@ -137,30 +137,14 @@ func (s *Simulator) link(src, dst int) (capacity units.BytesPerSec, latency unit
 // SimulatePhase runs the event-driven engine on one set of concurrent
 // messages and returns the phase makespan: the time until the last message
 // is delivered (transmission under max-min fair rates plus the link's
-// propagation delay). An empty phase takes zero time. With Options.Faults
-// set, the phase is simulated under the schedule's state at time zero; use
-// SimulatePhaseFaulty to position the phase in time and receive the
-// structured fault report.
+// propagation delay). An empty phase takes zero time. It is
+// SimulatePhaseFaulty at schedule time zero without the report, so with
+// Options.Faults set the phase is simulated under the schedule's state at
+// time zero; use SimulatePhaseFaulty to position the phase in time and
+// receive the structured fault report.
 func (s *Simulator) SimulatePhase(msgs []Message) (units.Seconds, error) {
-	if s.opt.Faults != nil {
-		makespan, _, err := s.SimulatePhaseFaulty(msgs, 0)
-		return makespan, err
-	}
-	flows, maxLatency, err := s.buildFlows(msgs)
-	if err != nil {
-		return 0, err
-	}
-	if len(flows) == 0 {
-		return maxLatency, nil
-	}
-	makespan, err := s.solveFluid(flows)
-	if err != nil {
-		return 0, err
-	}
-	if maxLatency > makespan {
-		makespan = maxLatency
-	}
-	return makespan, nil
+	makespan, _, err := s.SimulatePhaseFaulty(msgs, 0)
+	return makespan, err
 }
 
 // solveFluid registers the constraints of the flows (scaling each WAN
