@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -280,6 +281,16 @@ func (s *Server) Handler() http.Handler {
 // fits comfortably.
 const maxBodyBytes = 64 << 20
 
+// readBody reads a request body whole, so a body over maxBodyBytes is
+// always refused, even where its first JSON value ends within the bound.
+// One that declares a larger Content-Length is refused unread.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.RequestStarted()
@@ -287,9 +298,11 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.metrics.RequestFinished(time.Since(start).Seconds(), outcome) }()
 
 	var req MapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = decodeMapRequest(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
