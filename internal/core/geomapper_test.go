@@ -232,7 +232,19 @@ func TestGeoMapperInvalidProblem(t *testing.T) {
 }
 
 // Property: on random problems the geo mapper always produces feasible
-// placements and never loses to the mean of random placements.
+// placements and is no worse than 1.02 × the expected cost of a random
+// feasible placement, estimated from 1000 draws.
+//
+// The mean of 20 draws, which this test used first, is too noisy to
+// compare against: at n = 8, m = 4 the sites' capacity of 2 splits every
+// 4-process clique across two sites, and the draw (seed
+// −2980862039069640238, nRaw 0xa8, mRaw 0xba) gives GeoMapper{Kappa: 3}
+// cost 14.113 — 6% below the 1000-draw mean of 15.1 but above 1.02 × a
+// 20-draw mean of 13.807 that two near-optimal draws pulled down. The
+// mapper follows Algorithm 1 there (with κ = 4 or exchange refinement it
+// reaches the optimum, 7.167); across 3000 seeds at n = 8, m = 4 its
+// cost never exceeded 0.95 × the 1000-draw mean, while 12 seeds broke
+// the 20-draw form.
 func TestQuickGeoMapperFeasibleAndCompetitive(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		// n ≥ 8: on 4-process instances the greedy packing is a max-weight
@@ -256,17 +268,20 @@ func TestQuickGeoMapperFeasibleAndCompetitive(t *testing.T) {
 			return false
 		}
 		rng := stats.NewRand(seed + 1)
-		var costs []float64
-		for i := 0; i < 20; i++ {
+		costs := make([]float64, 1000)
+		for i := range costs {
 			rp, err := RandomPlacement(p, rng)
 			if err != nil {
 				return false
 			}
-			costs = append(costs, p.Cost(rp).Float())
+			costs[i] = p.Cost(rp).Float()
 		}
 		return p.Cost(pl).Float() <= stats.Mean(costs)*1.02+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if !f(-2980862039069640238, 0xa8, 0xba) {
+		t.Error("recorded draw (seed -2980862039069640238, nRaw 0xa8, mRaw 0xba) fails")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: stats.NewRand(1)}); err != nil {
 		t.Error(err)
 	}
 }
