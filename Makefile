@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine check
+.PHONY: all build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine bench-decode check
 
 all: check
 
@@ -91,4 +91,13 @@ bench-alloc:
 bench-refine:
 	./scripts/bench_refine.sh
 
-check: build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine
+# Request-path layers before and after: the /v1/map body decode (byte-level
+# fast path vs the encoding/json decoder) and the cache-key fingerprint
+# (bucketed single-Write vs the sort.Slice reference) at 256/1024/4096
+# processes, with nproc and GOMAXPROCS, in results/BENCH_decode.json.
+# Fails if a new path allocates more per op than the one it replaced;
+# ns/op is recorded, not gated.
+bench-decode:
+	./scripts/bench_decode.sh
+
+check: build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine bench-decode
